@@ -634,194 +634,197 @@ Status EvaluateBlock(const Database& db, const SpjBlock& block,
     }
   }
 
-  // Join in the remaining tables one by one.
-  ScopedSpan join_span(ctx.registry, "eval.join");
-  for (size_t step = 1; step < order.size(); ++step) {
-    const size_t ti = order[step];
-    const BoundTable& bt = bound[ti];
+  // Join in the remaining tables one by one. The join span covers only this
+  // loop, so eval.project below is its sibling rather than its child.
+  {
+    ScopedSpan join_span(ctx.registry, "eval.join");
+    for (size_t step = 1; step < order.size(); ++step) {
+      const size_t ti = order[step];
+      const BoundTable& bt = bound[ti];
 
-    // Join predicates between the new table and already-placed tables,
-    // resolved to column slices. Columns of different types can never be
-    // equal as Values, so one mismatched key part empties the whole block.
-    // `*_nullable` caches MayHaveJoinNulls per side: false means no cell of
-    // that column can be join-null (NULL, or NaN in a double column), so the
-    // hot loops skip the per-row null tests entirely — the all-valid
-    // int/string paths are byte-for-byte the pre-null loops.
-    struct JoinKeyPart {
-      size_t placed_order_pos;       // which earlier table
-      const ColumnData* placed_col;  // its column slice
-      const ColumnData* new_col;     // new table's column slice
-      bool placed_nullable;          // placed_col->MayHaveJoinNulls()
-      bool new_nullable;             // new_col->MayHaveJoinNulls()
-    };
-    std::vector<JoinKeyPart> key_parts;
-    bool type_mismatch = false;
-    for (const auto& join : block.joins) {
-      const size_t l = table_pos.at(join.left.table);
-      const size_t r = table_pos.at(join.right.table);
-      size_t other;
-      const ColumnRef* new_ref;
-      const ColumnRef* old_ref;
-      if (l == ti && order_pos[r] < step) {
-        other = r;
-        new_ref = &join.left;
-        old_ref = &join.right;
-      } else if (r == ti && order_pos[l] < step) {
-        other = l;
-        new_ref = &join.right;
-        old_ref = &join.left;
+      // Join predicates between the new table and already-placed tables,
+      // resolved to column slices. Columns of different types can never be
+      // equal as Values, so one mismatched key part empties the whole block.
+      // `*_nullable` caches MayHaveJoinNulls per side: false means no cell of
+      // that column can be join-null (NULL, or NaN in a double column), so the
+      // hot loops skip the per-row null tests entirely — the all-valid
+      // int/string paths are byte-for-byte the pre-null loops.
+      struct JoinKeyPart {
+        size_t placed_order_pos;       // which earlier table
+        const ColumnData* placed_col;  // its column slice
+        const ColumnData* new_col;     // new table's column slice
+        bool placed_nullable;          // placed_col->MayHaveJoinNulls()
+        bool new_nullable;             // new_col->MayHaveJoinNulls()
+      };
+      std::vector<JoinKeyPart> key_parts;
+      bool type_mismatch = false;
+      for (const auto& join : block.joins) {
+        const size_t l = table_pos.at(join.left.table);
+        const size_t r = table_pos.at(join.right.table);
+        size_t other;
+        const ColumnRef* new_ref;
+        const ColumnRef* old_ref;
+        if (l == ti && order_pos[r] < step) {
+          other = r;
+          new_ref = &join.left;
+          old_ref = &join.right;
+        } else if (r == ti && order_pos[l] < step) {
+          other = l;
+          new_ref = &join.right;
+          old_ref = &join.left;
+        } else {
+          continue;
+        }
+        const ColumnData& placed_col = bound[other].table->column(
+            bound[other].table->schema().ColumnIndex(old_ref->column).value());
+        const ColumnData& new_col = bt.table->column(
+            bt.table->schema().ColumnIndex(new_ref->column).value());
+        if (placed_col.type() != new_col.type()) {
+          type_mismatch = true;
+          break;
+        }
+        key_parts.push_back({order_pos[other], &placed_col, &new_col,
+                             placed_col.MayHaveJoinNulls(),
+                             new_col.MayHaveJoinNulls()});
+      }
+      if (type_mismatch) return Status::Ok();  // no pair can match
+
+      std::vector<PartialRow> next;
+      const Table* fact_table = track_facts ? bt.table : nullptr;
+      const EvalContext::Plan plan = ctx.PlanMorsels(current.size());
+      std::vector<std::vector<PartialRow>> parts(plan.count);
+      ctx.metrics.rows_probed.Inc(current.size());
+      if (key_parts.empty()) {
+        ctx.metrics.cross_products.Inc();
+        // Cross product (rare; disconnected query). The exact output size
+        // current * surviving can overflow size_t, so reservations saturate
+        // and cap; past the cap the vectors grow geometrically.
+        ctx.Run(current.size(), plan, [&](size_t m, size_t lo, size_t hi) {
+          std::vector<PartialRow>& out = parts[m];
+          out.reserve(std::min(
+              SaturatingMul(hi - lo, bt.surviving_rows.size()),
+              kMaxReserveRows));
+          for (size_t i = lo; i < hi; ++i) {
+            for (uint32_t r : bt.surviving_rows) {
+              out.push_back(ExtendRow(current[i], r, fact_table));
+            }
+          }
+        });
       } else {
-        continue;
-      }
-      const ColumnData& placed_col = bound[other].table->column(
-          bound[other].table->schema().ColumnIndex(old_ref->column).value());
-      const ColumnData& new_col = bt.table->column(
-          bt.table->schema().ColumnIndex(new_ref->column).value());
-      if (placed_col.type() != new_col.type()) {
-        type_mismatch = true;
-        break;
-      }
-      key_parts.push_back({order_pos[other], &placed_col, &new_col,
-                           placed_col.MayHaveJoinNulls(),
-                           new_col.MayHaveJoinNulls()});
-    }
-    if (type_mismatch) return Status::Ok();  // no pair can match
-
-    std::vector<PartialRow> next;
-    const Table* fact_table = track_facts ? bt.table : nullptr;
-    const EvalContext::Plan plan = ctx.PlanMorsels(current.size());
-    std::vector<std::vector<PartialRow>> parts(plan.count);
-    ctx.metrics.rows_probed.Inc(current.size());
-    if (key_parts.empty()) {
-      ctx.metrics.cross_products.Inc();
-      // Cross product (rare; disconnected query). The exact output size
-      // current * surviving can overflow size_t, so reservations saturate
-      // and cap; past the cap the vectors grow geometrically.
-      ctx.Run(current.size(), plan, [&](size_t m, size_t lo, size_t hi) {
-        std::vector<PartialRow>& out = parts[m];
-        out.reserve(std::min(
-            SaturatingMul(hi - lo, bt.surviving_rows.size()),
-            kMaxReserveRows));
-        for (size_t i = lo; i < hi; ++i) {
+        // Index the new table on the first key part's column words in a flat
+        // open-addressing table; verify the remaining parts by word equality.
+        // Key words ARE the values (within one type), so probe hits need no
+        // re-check against the first part. The probe loop runs per morsel of
+        // `current`, in batches: gather the probe-side key words through the
+        // batch accessor, prefetch every batch's bucket heads, then walk the
+        // payload slices — by which point the buckets are in cache.
+        constexpr size_t kProbeBatch = 64;
+        // SQL join semantics: a join-null key cell (NULL, or NaN in a double
+        // column — NaN != NaN under double equality, but identical NaN bit
+        // patterns would compare equal as key words) matches nothing, not even
+        // another null. Rows whose key is join-null in ANY part are dropped
+        // from the build side before indexing; all-valid int/string builds
+        // take the unfiltered pre-null path.
+        const std::vector<uint32_t>* build_rows = &bt.surviving_rows;
+        std::vector<uint32_t> nonnull_build;
+        bool new_side_nullable = false;
+        for (const auto& part : key_parts) {
+          new_side_nullable = new_side_nullable || part.new_nullable;
+        }
+        if (new_side_nullable) {
+          nonnull_build.reserve(bt.surviving_rows.size());
           for (uint32_t r : bt.surviving_rows) {
-            out.push_back(ExtendRow(current[i], r, fact_table));
-          }
-        }
-      });
-    } else {
-      // Index the new table on the first key part's column words in a flat
-      // open-addressing table; verify the remaining parts by word equality.
-      // Key words ARE the values (within one type), so probe hits need no
-      // re-check against the first part. The probe loop runs per morsel of
-      // `current`, in batches: gather the probe-side key words through the
-      // batch accessor, prefetch every batch's bucket heads, then walk the
-      // payload slices — by which point the buckets are in cache.
-      constexpr size_t kProbeBatch = 64;
-      // SQL join semantics: a join-null key cell (NULL, or NaN in a double
-      // column — NaN != NaN under double equality, but identical NaN bit
-      // patterns would compare equal as key words) matches nothing, not even
-      // another null. Rows whose key is join-null in ANY part are dropped
-      // from the build side before indexing; all-valid int/string builds
-      // take the unfiltered pre-null path.
-      const std::vector<uint32_t>* build_rows = &bt.surviving_rows;
-      std::vector<uint32_t> nonnull_build;
-      bool new_side_nullable = false;
-      for (const auto& part : key_parts) {
-        new_side_nullable = new_side_nullable || part.new_nullable;
-      }
-      if (new_side_nullable) {
-        nonnull_build.reserve(bt.surviving_rows.size());
-        for (uint32_t r : bt.surviving_rows) {
-          bool join_null = false;
-          for (const auto& part : key_parts) {
-            if (part.new_nullable && part.new_col->JoinKeyIsNull(r)) {
-              join_null = true;
-              break;
-            }
-          }
-          if (!join_null) nonnull_build.push_back(r);
-        }
-        build_rows = &nonnull_build;
-      }
-      FlatJoinIndex index;
-      index.Build(*key_parts[0].new_col, *build_rows);
-      ctx.metrics.index_builds.Inc();
-      if (ctx.metrics.index_occupancy.enabled() && index.num_buckets() > 0) {
-        ctx.metrics.index_occupancy.Observe(
-            static_cast<double>(index.num_keys()) /
-            static_cast<double>(index.num_buckets()));
-      }
-      // Probe batches are a deterministic function of the morsel plan:
-      // each morsel walks its range in kProbeBatch-row gathers.
-      {
-        uint64_t batches = 0;
-        for (size_t m = 0; m < plan.count; ++m) {
-          const size_t lo = m * plan.grain;
-          const size_t hi = std::min(current.size(), lo + plan.grain);
-          batches += (hi - lo + kProbeBatch - 1) / kProbeBatch;
-        }
-        ctx.metrics.probe_batches.Inc(batches);
-      }
-      const ColumnData& probe_col = *key_parts[0].placed_col;
-      const size_t probe_pos = key_parts[0].placed_order_pos;
-      const bool probe_nullable = key_parts[0].placed_nullable;
-      ctx.Run(current.size(), plan, [&](size_t m, size_t lo, size_t hi) {
-        std::vector<PartialRow>& out = parts[m];
-        uint32_t probe_rows[kProbeBatch];
-        uint64_t keys[kProbeBatch];
-        size_t start[kProbeBatch];
-        for (size_t base = lo; base < hi; base += kProbeBatch) {
-          const size_t bn = std::min(kProbeBatch, hi - base);
-          for (size_t j = 0; j < bn; ++j) {
-            probe_rows[j] = current[base + j].row_indices[probe_pos];
-          }
-          probe_col.KeyWords(probe_rows, bn, keys);
-          for (size_t j = 0; j < bn; ++j) {
-            start[j] = index.StartBucket(keys[j]);
-            index.Prefetch(start[j]);
-          }
-          for (size_t j = 0; j < bn; ++j) {
-            // A join-null probe key matches nothing: its gathered key word
-            // is a placeholder (NULL) or a raw NaN pattern, either of which
-            // could spuriously hit a real build key by word equality.
-            if (probe_nullable && probe_col.JoinKeyIsNull(probe_rows[j])) {
-              continue;
-            }
-            const FlatJoinIndex::Range range =
-                index.ProbeFrom(start[j], keys[j]);
-            if (range.begin == range.end) continue;
-            const PartialRow& pr = current[base + j];
-            for (const uint32_t* p = range.begin; p != range.end; ++p) {
-              const uint32_t r = *p;
-              bool all_match = true;
-              for (size_t kp = 1; kp < key_parts.size(); ++kp) {
-                const auto& part = key_parts[kp];
-                const uint32_t placed_row =
-                    pr.row_indices[part.placed_order_pos];
-                // Secondary key parts verify by word equality, so the same
-                // join-null exclusion applies on the placed side (the build
-                // side was pre-filtered for every part).
-                if (part.placed_nullable &&
-                    part.placed_col->JoinKeyIsNull(placed_row)) {
-                  all_match = false;
-                  break;
-                }
-                if (part.new_col->KeyWord(r) !=
-                    part.placed_col->KeyWord(placed_row)) {
-                  all_match = false;
-                  break;
-                }
+            bool join_null = false;
+            for (const auto& part : key_parts) {
+              if (part.new_nullable && part.new_col->JoinKeyIsNull(r)) {
+                join_null = true;
+                break;
               }
-              if (all_match) out.push_back(ExtendRow(pr, r, fact_table));
+            }
+            if (!join_null) nonnull_build.push_back(r);
+          }
+          build_rows = &nonnull_build;
+        }
+        FlatJoinIndex index;
+        index.Build(*key_parts[0].new_col, *build_rows);
+        ctx.metrics.index_builds.Inc();
+        if (ctx.metrics.index_occupancy.enabled() && index.num_buckets() > 0) {
+          ctx.metrics.index_occupancy.Observe(
+              static_cast<double>(index.num_keys()) /
+              static_cast<double>(index.num_buckets()));
+        }
+        // Probe batches are a deterministic function of the morsel plan:
+        // each morsel walks its range in kProbeBatch-row gathers.
+        {
+          uint64_t batches = 0;
+          for (size_t m = 0; m < plan.count; ++m) {
+            const size_t lo = m * plan.grain;
+            const size_t hi = std::min(current.size(), lo + plan.grain);
+            batches += (hi - lo + kProbeBatch - 1) / kProbeBatch;
+          }
+          ctx.metrics.probe_batches.Inc(batches);
+        }
+        const ColumnData& probe_col = *key_parts[0].placed_col;
+        const size_t probe_pos = key_parts[0].placed_order_pos;
+        const bool probe_nullable = key_parts[0].placed_nullable;
+        ctx.Run(current.size(), plan, [&](size_t m, size_t lo, size_t hi) {
+          std::vector<PartialRow>& out = parts[m];
+          uint32_t probe_rows[kProbeBatch];
+          uint64_t keys[kProbeBatch];
+          size_t start[kProbeBatch];
+          for (size_t base = lo; base < hi; base += kProbeBatch) {
+            const size_t bn = std::min(kProbeBatch, hi - base);
+            for (size_t j = 0; j < bn; ++j) {
+              probe_rows[j] = current[base + j].row_indices[probe_pos];
+            }
+            probe_col.KeyWords(probe_rows, bn, keys);
+            for (size_t j = 0; j < bn; ++j) {
+              start[j] = index.StartBucket(keys[j]);
+              index.Prefetch(start[j]);
+            }
+            for (size_t j = 0; j < bn; ++j) {
+              // A join-null probe key matches nothing: its gathered key word
+              // is a placeholder (NULL) or a raw NaN pattern, either of which
+              // could spuriously hit a real build key by word equality.
+              if (probe_nullable && probe_col.JoinKeyIsNull(probe_rows[j])) {
+                continue;
+              }
+              const FlatJoinIndex::Range range =
+                  index.ProbeFrom(start[j], keys[j]);
+              if (range.begin == range.end) continue;
+              const PartialRow& pr = current[base + j];
+              for (const uint32_t* p = range.begin; p != range.end; ++p) {
+                const uint32_t r = *p;
+                bool all_match = true;
+                for (size_t kp = 1; kp < key_parts.size(); ++kp) {
+                  const auto& part = key_parts[kp];
+                  const uint32_t placed_row =
+                      pr.row_indices[part.placed_order_pos];
+                  // Secondary key parts verify by word equality, so the same
+                  // join-null exclusion applies on the placed side (the build
+                  // side was pre-filtered for every part).
+                  if (part.placed_nullable &&
+                      part.placed_col->JoinKeyIsNull(placed_row)) {
+                    all_match = false;
+                    break;
+                  }
+                  if (part.new_col->KeyWord(r) !=
+                      part.placed_col->KeyWord(placed_row)) {
+                    all_match = false;
+                    break;
+                  }
+                }
+                if (all_match) out.push_back(ExtendRow(pr, r, fact_table));
+              }
             }
           }
-        }
-      });
+        });
+      }
+      MergeJoinParts(parts, next);
+      current = std::move(next);
+      ctx.metrics.join_output_rows.Inc(current.size());
+      if (current.empty()) return Status::Ok();
     }
-    MergeJoinParts(parts, next);
-    current = std::move(next);
-    ctx.metrics.join_output_rows.Inc(current.size());
-    if (current.empty()) return Status::Ok();
   }
 
   // Resolve the projected column slices. The DISTINCT dedup key is the

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <utility>
 
+#include "common/check.h"
 #include "common/strings.h"
 #include "common/timer.h"
 #include "learnshapley/evaluate.h"
@@ -23,8 +23,13 @@ struct PairSample {
   double sim_syntax;
 };
 
-struct FinetuneSample {
-  EncodedPair input;
+// One fine-tuning sample by reference into the shard being trained: fact
+// `fact` of contribution `contrib` of slice entry `entry`, regressed toward
+// `target`. A worker encodes it only when it steps on it.
+struct SampleRef {
+  size_t entry;
+  size_t contrib;
+  FactId fact;
   float target;
 };
 
@@ -150,8 +155,8 @@ double PairMse(const std::vector<PairSample>& pairs,
   return total / static_cast<double>(pairs.size());
 }
 
-// Handle bundle resolved once per TrainLearnShapley call; every member is a
-// no-op handle when config.metrics is null.
+// Handle bundle resolved once per training run; every member is a no-op
+// handle when config.metrics is null.
 struct TrainMetricSet {
   Counter pretrain_examples, finetune_examples, adam_steps;
   Gauge pretrain_epoch_loss, pretrain_dev_mse, finetune_epoch_loss,
@@ -205,11 +210,23 @@ std::string RankerName(const TrainConfig& config) {
   return name;
 }
 
+// A contribution's (fact, Shapley value) pairs in ascending FactId order.
+// The vocabulary pass and the sample enumeration both walk lineages through
+// this, so a trained model never depends on the order in which a lineage's
+// hash map was filled (a loaded corpus fills it differently from a built
+// one).
+std::vector<std::pair<FactId, double>> SortedLineage(
+    const TupleContribution& c) {
+  std::vector<std::pair<FactId, double>> facts(c.shapley.begin(),
+                                               c.shapley.end());
+  std::sort(facts.begin(), facts.end());
+  return facts;
+}
+
 // Pre-training on the similarity objectives. Operates only on cached query
-// token streams plus the similarity matrices, so the resident and streaming
-// trainers share it verbatim (the matrices are indexed by global entry
-// index either way). Restores the best-dev-MSE checkpoint into `model` and
-// returns that MSE.
+// token streams plus the similarity matrices, which are indexed by global
+// entry index, so it never touches a shard. Restores the best-dev-MSE
+// checkpoint into `model` and returns that MSE.
 double PretrainOnSims(const std::vector<size_t>& train,
                       const std::vector<size_t>& dev_idx,
                       const std::vector<std::vector<std::string>>& query_tokens,
@@ -289,13 +306,6 @@ double PretrainOnSims(const std::vector<size_t>& train,
         static_cast<double>(std::max<size_t>(1, take)));
     const double dev_mse = PairMse(dev_pairs, config.objectives, model, pool);
     metrics.pretrain_dev_mse.Set(dev_mse);
-    if (config.verbose) {
-      std::fprintf(stderr, "[pretrain] epoch %zu loss %.4f dev-mse %.5f\n",
-                   epoch,
-                   static_cast<double>(epoch_loss) /
-                       static_cast<double>(std::max<size_t>(1, take)),
-                   dev_mse);
-    }
     if (dev_mse < best_mse) {
       best_mse = dev_mse;
       best_weights = model.SnapshotWeights();
@@ -306,175 +316,54 @@ double PretrainOnSims(const std::vector<size_t>& train,
   return best_mse;
 }
 
-// The resident training pipeline over an in-memory corpus. `sims` may be
-// null, which skips pre-training (the streaming single-shard dispatch uses
-// this when no matrices are available). With non-null sims this is the
-// historical TrainLearnShapley bit for bit.
-TrainResult TrainResident(const Corpus& corpus,
-                          const std::vector<size_t>& train_idx,
-                          const std::vector<size_t>& dev_idx,
-                          const SimilarityMatrices* sims,
-                          const TrainConfig& config, ThreadPool& pool) {
-  WallTimer timer;
-  ScopedSpan train_span(config.metrics, "train");
-  const TrainMetricSet metrics(config.metrics);
-  size_t total_examples = 0;
-  Rng rng(config.seed);
-
-  const std::vector<size_t>& train =
-      config.train_subset.empty() ? train_idx : config.train_subset;
-
-  // ---- Vocabulary and cached token streams (train split only). ----
-  auto vocab = std::make_shared<Vocab>();
-  std::vector<std::vector<std::string>> query_tokens(corpus.entries.size());
-  for (size_t e = 0; e < corpus.entries.size(); ++e) {
-    query_tokens[e] = QueryTokens(corpus.entries[e].query);
-  }
-  for (size_t e : train) {
-    vocab->AddTokens(query_tokens[e]);
-    for (const auto& c : corpus.entries[e].contributions) {
-      vocab->AddTokens(TupleTokens(c.tuple));
-      for (const auto& [f, v] : c.shapley) {
-        vocab->AddTokens(FactTokens(*corpus.db, f));
-      }
-    }
-  }
-  // Overlap markers emitted by FactTokensWithContext.
-  vocab->AddTokens({"ovl0", "ovl1", "ovl2"});
-
-  // ---- Model. ----
-  const EncoderConfig encoder_cfg = MakeEncoderConfig(
-      config.model_size, vocab->size(), config.max_len, config.seed);
-  LearnShapleyModel model(encoder_cfg, config.seed);
-  DataParallelRunner runner(&model, &pool);
-
-  TrainResult result;
-
-  // ---- Pre-training on similarity objectives. ----
-  if (config.do_pretrain && config.objectives.AnyEnabled() &&
-      sims != nullptr) {
-    result.pretrain_dev_mse =
-        PretrainOnSims(train, dev_idx, query_tokens, *sims, config, metrics,
-                       *vocab, model, runner, pool, rng, total_examples);
-  }
-
-  // ---- Fine-tuning on Shapley regression. ----
-  ScopedSpan finetune_span(config.metrics, "train.finetune");
-  std::vector<FinetuneSample> all_samples;
-  for (size_t e : train) {
-    const CorpusEntry& entry = corpus.entries[e];
-    for (const auto& c : entry.contributions) {
-      const std::vector<std::string> t_tokens = TupleTokens(c.tuple);
+// The fine-tuning samples of one shard's train entries, in entry order:
+// each lineage fact in ascending FactId order with its scaled target, then
+// the contribution's zero-target negatives (the extension beyond the
+// paper). Negatives come from a per-(entry, contribution) RNG stream, so
+// the negative set does not depend on epoch or shard visit order.
+std::vector<SampleRef> ShardSamples(const CorpusSlice& slice,
+                                    const std::vector<char>& in_train,
+                                    size_t num_facts,
+                                    const TrainConfig& config) {
+  std::vector<SampleRef> samples;
+  const Corpus& chunk = *slice.corpus;
+  for (size_t i = 0; i < chunk.entries.size(); ++i) {
+    const size_t e = slice.base_entry + i;
+    if (!in_train[e]) continue;
+    const CorpusEntry& entry = chunk.entries[i];
+    for (size_t ci = 0; ci < entry.contributions.size(); ++ci) {
+      const TupleContribution& c = entry.contributions[ci];
+      const std::vector<std::pair<FactId, double>> lineage = SortedLineage(c);
       double norm = 1.0;
       if (config.normalize_targets_per_tuple) {
         double max_v = 0.0;
-        for (const auto& [f, v] : c.shapley) max_v = std::max(max_v, v);
+        for (const auto& [f, v] : lineage) max_v = std::max(max_v, v);
         if (max_v > 0.0) norm = 1.0 / max_v;
       }
-      for (const auto& [f, v] : c.shapley) {
-        FinetuneSample fs;
-        fs.input = EncodeSegments(
-            *vocab,
-            {query_tokens[e], t_tokens,
-             FactTokensWithContext(*corpus.db, f, t_tokens)},
-            config.max_len);
-        fs.target = static_cast<float>(v * norm) * config.shapley_scale;
-        all_samples.push_back(std::move(fs));
+      for (const auto& [f, v] : lineage) {
+        samples.push_back(
+            {i, ci, f, static_cast<float>(v * norm) * config.shapley_scale});
       }
-      // Extension: zero-target samples for facts outside the lineage, so
-      // the model learns to rank non-contributing facts below contributing
-      // ones (needed for lineage-free deployment).
+      if (config.negative_samples_per_contribution == 0) continue;
+      Rng neg_rng(config.seed ^ (0xda942042e4dd58b5ULL * (e + 1)) ^
+                  (0x9e3779b97f4a7c15ULL * (ci + 1)));
       for (size_t neg = 0; neg < config.negative_samples_per_contribution;
            ++neg) {
-        const FactId f = static_cast<FactId>(
-            rng.NextBounded(corpus.db->num_facts()));
+        const FactId f = static_cast<FactId>(neg_rng.NextBounded(num_facts));
         if (c.shapley.count(f) > 0) continue;  // accidentally positive
-        FinetuneSample fs;
-        fs.input = EncodeSegments(
-            *vocab,
-            {query_tokens[e], t_tokens,
-             FactTokensWithContext(*corpus.db, f, t_tokens)},
-            config.max_len);
-        fs.target = 0.0f;
-        all_samples.push_back(std::move(fs));
+        samples.push_back({i, ci, f, 0.0f});
       }
     }
   }
-
-  Adam optimizer(model.Params(), [&] {
-    AdamConfig a;
-    a.lr = config.finetune_lr;
-    return a;
-  }());
-
-  double best_ndcg = -1.0;
-  std::vector<Tensor> best_weights = model.SnapshotWeights();
-  std::vector<size_t> sample_order(all_samples.size());
-  for (size_t i = 0; i < sample_order.size(); ++i) sample_order[i] = i;
-
-  for (size_t epoch = 0; epoch < config.finetune_epochs; ++epoch) {
-    rng.Shuffle(sample_order);
-    const size_t take =
-        std::min(sample_order.size(), config.finetune_samples_per_epoch);
-    float epoch_loss = 0.0f;
-    for (size_t begin = 0; begin < take; begin += config.batch_size) {
-      const size_t end = std::min(take, begin + config.batch_size);
-      epoch_loss +=
-          runner.RunBatch(begin, end, [&](LearnShapleyModel& m, size_t i) {
-            const FinetuneSample& fs = all_samples[sample_order[i]];
-            return m.FinetuneStep(fs.input, fs.target);
-          });
-      TimedStep(optimizer, metrics);
-    }
-    metrics.finetune_examples.Inc(take);
-    total_examples += take;
-    metrics.finetune_epoch_loss.Set(
-        static_cast<double>(epoch_loss) /
-        static_cast<double>(std::max<size_t>(1, take)));
-    // Dev NDCG@10 for checkpoint selection.
-    LearnShapleyRanker dev_ranker(model, vocab, config.max_len,
-                                  config.shapley_scale, "dev");
-    const EvalSummary dev =
-        EvaluateScorer(corpus, dev_idx, dev_ranker, {}, pool);
-    if (config.verbose) {
-      std::fprintf(stderr, "[finetune] epoch %zu loss %.2f dev-ndcg %.4f\n",
-                   epoch,
-                   static_cast<double>(epoch_loss) /
-                       static_cast<double>(std::max<size_t>(1, take)),
-                   dev.ndcg10);
-    }
-    metrics.finetune_dev_ndcg10.Set(dev.ndcg10);
-    if (dev.ndcg10 > best_ndcg) {
-      best_ndcg = dev.ndcg10;
-      best_weights = model.SnapshotWeights();
-    }
-    optimizer.set_lr(optimizer.lr() * config.lr_decay);
-  }
-  model.RestoreWeights(best_weights);
-  result.best_dev_ndcg10 = best_ndcg;
-
-  result.ranker = std::make_unique<LearnShapleyRanker>(
-      std::move(model), vocab, config.max_len, config.shapley_scale,
-      RankerName(config));
-  result.train_seconds = timer.ElapsedSeconds();
-  if (result.train_seconds > 0.0) {
-    metrics.examples_per_sec.Set(static_cast<double>(total_examples) /
-                                 result.train_seconds);
-  }
-  return result;
+  return samples;
 }
 
-// Streaming pipeline for multi-shard streams: one decode pass over all
-// shards for the vocabulary and query token cache, then per-epoch
-// shard-at-a-time fine-tuning with a rotating start shard. Sample
-// construction and shuffles use per-(entry, contribution) and per-(epoch,
-// shard) derived RNG streams, so the result is a deterministic function of
-// (config, corpus, shard layout) — independent of thread count and of how
-// fast shards decode.
-Result<TrainResult> TrainStreaming(const CorpusStream& stream,
-                                   const SimilarityMatrices* sims,
-                                   const TrainConfig& config,
-                                   ThreadPool& pool) {
+}  // namespace
+
+Result<TrainResult> TrainLearnShapleyStream(const CorpusStream& stream,
+                                            const SimilarityMatrices* sims,
+                                            const TrainConfig& config,
+                                            ThreadPool& pool) {
   WallTimer timer;
   ScopedSpan train_span(config.metrics, "train");
   const TrainMetricSet metrics(config.metrics);
@@ -494,11 +383,9 @@ Result<TrainResult> TrainStreaming(const CorpusStream& stream,
     in_train[e] = 1;
   }
 
-  // ---- Pass 1: vocabulary + cached query token streams. One decode of
-  // every shard; only the (small) token vectors stay resident. Vocabulary
-  // insertion order is shard order here, not train-split order, so token
-  // ids differ from the resident trainer's — a deliberate property of the
-  // streaming mode, deterministic for a fixed shard layout. ----
+  // ---- Vocabulary and cached query token streams: one decode of every
+  // shard, in entry order; only the (small) token vectors stay resident.
+  // Entry order is the same for every shard layout, so token ids are too.
   auto vocab = std::make_shared<Vocab>();
   std::vector<std::vector<std::string>> query_tokens(stream.num_entries());
   {
@@ -515,13 +402,14 @@ Result<TrainResult> TrainStreaming(const CorpusStream& stream,
         vocab->AddTokens(query_tokens[e]);
         for (const auto& c : chunk.entries[i].contributions) {
           vocab->AddTokens(TupleTokens(c.tuple));
-          for (const auto& [f, v] : c.shapley) {
+          for (const auto& [f, v] : SortedLineage(c)) {
             vocab->AddTokens(FactTokens(db, f));
           }
         }
       }
     }
   }
+  // Overlap markers emitted by FactTokensWithContext.
   vocab->AddTokens({"ovl0", "ovl1", "ovl2"});
 
   // ---- Model. ----
@@ -582,57 +470,8 @@ Result<TrainResult> TrainStreaming(const CorpusStream& stream,
         const CorpusSlice slice = std::move(*slice_r);
         const Corpus& chunk = *slice.corpus;
 
-        // Materialize only this shard's train samples.
-        std::vector<FinetuneSample> samples;
-        for (size_t i = 0; i < chunk.entries.size(); ++i) {
-          const size_t e = slice.base_entry + i;
-          if (!in_train[e]) continue;
-          const CorpusEntry& entry = chunk.entries[i];
-          for (size_t ci = 0; ci < entry.contributions.size(); ++ci) {
-            const auto& c = entry.contributions[ci];
-            const std::vector<std::string> t_tokens = TupleTokens(c.tuple);
-            double norm = 1.0;
-            if (config.normalize_targets_per_tuple) {
-              double max_v = 0.0;
-              for (const auto& [f, v] : c.shapley) {
-                max_v = std::max(max_v, v);
-              }
-              if (max_v > 0.0) norm = 1.0 / max_v;
-            }
-            for (const auto& [f, v] : c.shapley) {
-              FinetuneSample fs;
-              fs.input = EncodeSegments(
-                  *vocab,
-                  {query_tokens[e], t_tokens,
-                   FactTokensWithContext(db, f, t_tokens)},
-                  config.max_len);
-              fs.target = static_cast<float>(v * norm) * config.shapley_scale;
-              samples.push_back(std::move(fs));
-            }
-            if (config.negative_samples_per_contribution > 0) {
-              // Derived per-contribution stream, so the negative set does
-              // not depend on shard visit order or epoch.
-              Rng neg_rng(config.seed ^
-                          (0xda942042e4dd58b5ULL * (e + 1)) ^
-                          (0x9e3779b97f4a7c15ULL * (ci + 1)));
-              for (size_t neg = 0;
-                   neg < config.negative_samples_per_contribution; ++neg) {
-                const FactId f = static_cast<FactId>(
-                    neg_rng.NextBounded(db.num_facts()));
-                if (c.shapley.count(f) > 0) continue;
-                FinetuneSample fs;
-                fs.input = EncodeSegments(
-                    *vocab,
-                    {query_tokens[e], t_tokens,
-                     FactTokensWithContext(db, f, t_tokens)},
-                    config.max_len);
-                fs.target = 0.0f;
-                samples.push_back(std::move(fs));
-              }
-            }
-          }
-        }
-
+        std::vector<SampleRef> samples =
+            ShardSamples(slice, in_train, db.num_facts(), config);
         // Per-(epoch, shard) derived shuffle: sample order is a function of
         // position in the corpus, not of scheduling.
         Rng order_rng(config.seed ^
@@ -644,7 +483,16 @@ Result<TrainResult> TrainStreaming(const CorpusStream& stream,
           const size_t end = std::min(take, begin + config.batch_size);
           epoch_loss += runner.RunBatch(
               begin, end, [&](LearnShapleyModel& m, size_t i) {
-                return m.FinetuneStep(samples[i].input, samples[i].target);
+                const SampleRef& s = samples[i];
+                const TupleContribution& c =
+                    chunk.entries[s.entry].contributions[s.contrib];
+                const std::vector<std::string> t_tokens = TupleTokens(c.tuple);
+                const EncodedPair input = EncodeSegments(
+                    *vocab,
+                    {query_tokens[slice.base_entry + s.entry], t_tokens,
+                     FactTokensWithContext(db, s.fact, t_tokens)},
+                    config.max_len);
+                return m.FinetuneStep(input, s.target);
               });
           TimedStep(optimizer, metrics);
         }
@@ -664,13 +512,6 @@ Result<TrainResult> TrainStreaming(const CorpusStream& stream,
     auto dev = EvaluateScorerStream(stream, stream.dev_idx(), dev_ranker, {},
                                     pool);
     if (!dev.ok()) return dev.status();
-    if (config.verbose) {
-      std::fprintf(stderr, "[finetune] epoch %zu loss %.2f dev-ndcg %.4f\n",
-                   epoch,
-                   static_cast<double>(epoch_loss) /
-                       static_cast<double>(std::max<size_t>(1, epoch_examples)),
-                   dev->ndcg10);
-    }
     metrics.finetune_dev_ndcg10.Set(dev->ndcg10);
     if (dev->ndcg10 > best_ndcg) {
       best_ndcg = dev->ndcg10;
@@ -692,30 +533,13 @@ Result<TrainResult> TrainStreaming(const CorpusStream& stream,
   return result;
 }
 
-}  // namespace
-
 TrainResult TrainLearnShapley(const Corpus& corpus,
                               const SimilarityMatrices& sims,
                               const TrainConfig& config, ThreadPool& pool) {
-  return TrainResident(corpus, corpus.train_idx, corpus.dev_idx, &sims,
-                       config, pool);
-}
-
-Result<TrainResult> TrainLearnShapleyStream(const CorpusStream& stream,
-                                            const SimilarityMatrices* sims,
-                                            const TrainConfig& config,
-                                            ThreadPool& pool) {
-  if (stream.num_shards() == 1) {
-    // Single shard: the slice is the whole corpus (aliased for an
-    // in-memory stream, decoded once for a one-shard binary corpus), so
-    // the resident pipeline applies unchanged — and matches
-    // TrainLearnShapley exactly when sims is provided.
-    auto slice = stream.ReadShard(0);
-    if (!slice.ok()) return slice.status();
-    return TrainResident(*slice->corpus, stream.train_idx(),
-                         stream.dev_idx(), sims, config, pool);
-  }
-  return TrainStreaming(stream, sims, config, pool);
+  InMemoryCorpusStream stream(corpus);
+  auto result = TrainLearnShapleyStream(stream, &sims, config, pool);
+  LSHAP_CHECK_MSG(result.ok(), result.status().ToString().c_str());
+  return std::move(*result);
 }
 
 }  // namespace lshap

@@ -62,7 +62,6 @@ struct TrainConfig {
   // Restrict training to these corpus entries (Figure 11 log-size sweep);
   // empty means corpus.train_idx.
   std::vector<size_t> train_subset;
-  bool verbose = false;
   // Observability opt-in: when set, training records train.* gauges
   // (per-epoch loss, dev metrics, examples/sec), example counters, and an
   // Adam step-time histogram, under "train" > "train.pretrain" /
@@ -110,7 +109,6 @@ struct TrainConfig {
     train_subset = std::move(subset);
     return *this;
   }
-  TrainConfig& WithVerbose(bool on) { verbose = on; return *this; }
   TrainConfig& WithMetrics(MetricsRegistry* m) { metrics = m; return *this; }
 };
 
@@ -124,24 +122,40 @@ struct TrainResult {
 // Trains LearnShapley on the corpus' train split (data-parallel across
 // `pool` workers with summed-gradient batches) and returns the deployable
 // ranker with the best dev-NDCG@10 fine-tune checkpoint restored.
+//
+// This is TrainLearnShapleyStream over InMemoryCorpusStream(corpus): an
+// in-memory corpus is the one-shard case of the one training pipeline.
+// CHECK-fails where that returns an error (an out-of-range train_subset
+// entry).
 TrainResult TrainLearnShapley(const Corpus& corpus,
                               const SimilarityMatrices& sims,
                               const TrainConfig& config, ThreadPool& pool);
 
-// Streaming variant over a CorpusStream, so peak corpus memory is bounded
-// by shard size rather than corpus size.
+// The training pipeline. It reads the corpus through `stream` a shard at a
+// time, so peak corpus memory is bounded by shard size, not corpus size:
 //
-//  - A single-shard stream dispatches to the resident pipeline and (given
-//    non-null `sims`) produces exactly the TrainLearnShapley result.
-//  - A multi-shard stream runs one decode pass for the vocabulary, then
-//    fine-tunes shard at a time per epoch (rotating start shard, per-shard
-//    sample shuffles from derived RNG streams, dev evaluation streamed).
-//    The result is deterministic for a fixed (config, corpus, shard
-//    layout) but intentionally differs from the resident sample order.
+//  - One decode pass over every shard builds the vocabulary from the train
+//    entries and caches every entry's query tokens.
+//  - Pre-training runs on those tokens and `sims`.
+//  - Each fine-tune epoch visits the train shards, starting one shard
+//    later than the epoch before. Each shard's samples are lightweight
+//    references (entry, contribution, fact, target), shuffled by an RNG
+//    derived from (seed, epoch, shard); the shard contributes up to an
+//    equal share of finetune_samples_per_epoch. A worker encodes a sample
+//    only when it steps on it. Dev NDCG@10 is evaluated streamed after
+//    every epoch.
+//
+// Both the vocabulary pass and the sample enumeration visit each lineage's
+// facts in ascending FactId order. On a serial pool the result is
+// therefore a function of (config, corpus content, shard layout) alone: a
+// corpus and its one-shard save/load round trip train to the same model.
+// With more workers, the order in which a batch's gradients are summed
+// follows scheduling.
 //
 // `sims` may be null to skip pre-training — the similarity matrices are
 // corpus-global (N×N over all entries) and so only exist when the corpus
-// was resident at some point.
+// was resident at some point. Returns kInvalidArgument for an out-of-range
+// train_subset entry, and the status of any shard read that fails.
 Result<TrainResult> TrainLearnShapleyStream(const CorpusStream& stream,
                                             const SimilarityMatrices* sims,
                                             const TrainConfig& config,

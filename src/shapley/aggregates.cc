@@ -67,14 +67,16 @@ Result<AggregateAttribution> ComputeShapleyForSum(const Database& db,
   auto eval = Evaluate(db, q);
   if (!eval.ok()) return eval.status();
   for (const auto& t : eval->tuples) {
-    if (t[position].is_string() || t[position].is_null()) {
+    if (t[position].is_string()) {
       return Status::InvalidArgument("SUM column " + column.ToString() +
                                      " is not numeric");
     }
   }
   const EvalResult& result = *eval;
+  // SQL's SUM skips NULLs: a tuple whose SUM cell is NULL weighs 0.
   return Attribute(result, pool, [&](size_t i) {
-    return result.tuples[i][position].AsDouble();
+    const Value& cell = result.tuples[i][position];
+    return cell.is_null() ? 0.0 : cell.AsDouble();
   });
 }
 

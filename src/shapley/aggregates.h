@@ -14,9 +14,10 @@ namespace lshap {
 //
 // For an aggregate of the form  v(E) = Σ_t w_t · 1[t ∈ q(E)]  over the
 // distinct output tuples of an SPJU query (w_t = 1 for COUNT, w_t = the
-// tuple's value of a numeric column for SUM), linearity of the Shapley
-// value gives  Shapley_f(v) = Σ_t w_t · Shapley_f(q_t),  so each term is
-// computable exactly with the per-tuple circuit machinery.
+// tuple's value of a numeric column for SUM, and 0 where that cell is NULL,
+// since SQL's SUM skips NULLs), linearity of the Shapley value gives
+// Shapley_f(v) = Σ_t w_t · Shapley_f(q_t),  so each term is computable
+// exactly with the per-tuple circuit machinery.
 //
 // Note the set semantics: aggregates are over DISTINCT projected tuples,
 // matching the engine's SPJU evaluation.
@@ -34,7 +35,9 @@ Result<AggregateAttribution> ComputeShapleyForCount(const Database& db,
                                                     ThreadPool& pool);
 
 // Attribution for SUM(column) over the distinct output tuples. `column`
-// must appear in every block's projection list and be numeric.
+// must appear in every block's projection list and hold no strings; a
+// tuple whose cell is NULL weighs 0, so its lineage facts gain nothing from
+// it (a SUM over NULL cells only totals 0).
 Result<AggregateAttribution> ComputeShapleyForSum(const Database& db,
                                                   const Query& q,
                                                   const ColumnRef& column,

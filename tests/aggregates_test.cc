@@ -86,5 +86,61 @@ TEST_F(AggregatesTest, EmptyResultGivesZeroAggregate) {
   EXPECT_TRUE(attribution->values.empty());
 }
 
+// SQL's SUM skips NULLs, so an output tuple whose SUM cell is NULL weighs 0
+// instead of failing the query. Tiny database: emp ⋈ dept projecting
+// salary gives the distinct tuples 10 = (e1∧d1)∨(e4∧d2), NULL = e2∧d1 and
+// 5 = e3∧d2.
+TEST(AggregatesNullTest, SumGivesNullCellsWeightZero) {
+  Database db("tiny");
+  ASSERT_TRUE(db.AddTable(Schema("dept", {{"name", ColumnType::kString}}))
+                  .ok());
+  ASSERT_TRUE(db.AddTable(Schema("emp", {{"name", ColumnType::kString},
+                                         {"dept", ColumnType::kString},
+                                         {"salary", ColumnType::kInt}}))
+                  .ok());
+  ASSERT_TRUE(db.Insert("dept", {Value("eng")}).ok());
+  ASSERT_TRUE(db.Insert("dept", {Value("ops")}).ok());
+  ASSERT_TRUE(
+      db.Insert("emp", {Value("ann"), Value("eng"), Value(int64_t{10})}).ok());
+  ASSERT_TRUE(
+      db.Insert("emp", {Value("bob"), Value("eng"), Value::Null()}).ok());
+  ASSERT_TRUE(
+      db.Insert("emp", {Value("cat"), Value("ops"), Value(int64_t{5})}).ok());
+  ASSERT_TRUE(
+      db.Insert("emp", {Value("dan"), Value("ops"), Value(int64_t{10})}).ok());
+
+  SpjBlock block;
+  block.tables = {"emp", "dept"};
+  block.joins = {{{"emp", "dept"}, {"dept", "name"}}};
+  block.projections = {{"emp", "salary"}};
+  Query q;
+  q.id = "salaries";
+  q.blocks = {block};
+
+  ThreadPool pool(2);
+  auto attribution = ComputeShapleyForSum(db, q, {"emp", "salary"}, pool);
+  ASSERT_TRUE(attribution.ok()) << attribution.status().ToString();
+  EXPECT_DOUBLE_EQ(attribution->total, 15.0);
+
+  auto eval = Evaluate(db, q);
+  ASSERT_TRUE(eval.ok());
+  ASSERT_EQ(eval->tuples.size(), 3u);
+  ShapleyValues want;
+  for (size_t i = 0; i < eval->tuples.size(); ++i) {
+    const Value& cell = eval->tuples[i][0];
+    const double w = cell.is_null() ? 0.0 : cell.AsDouble();
+    auto brute = ComputeShapleyBrute(eval->ProvenanceOf(i));
+    ASSERT_TRUE(brute.ok());
+    for (const auto& [f, v] : *brute) want[f] += w * v;
+  }
+  ASSERT_EQ(attribution->values.size(), want.size());
+  double sum = 0.0;
+  for (const auto& [f, v] : want) {
+    EXPECT_NEAR(attribution->values.at(f), v, 1e-12);
+    sum += attribution->values.at(f);
+  }
+  EXPECT_NEAR(sum, attribution->total, 1e-9);
+}
+
 }  // namespace
 }  // namespace lshap

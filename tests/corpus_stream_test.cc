@@ -1,7 +1,7 @@
 // Tests for the shard-at-a-time corpus streaming layer (corpus/stream.h)
 // and its consumers: slice aliasing, cursor visit order and prefetch,
 // resident-entry accounting, the streaming evaluator's exact agreement
-// with the resident one, and the streaming trainer dispatch. The
+// with the resident one, and the shard-streaming trainer. The
 // concurrency tests here run under TSan in tools/check.sh thread mode.
 #include <gtest/gtest.h>
 
@@ -215,7 +215,7 @@ TEST_F(CorpusStreamTest, StreamingEvaluatorRejectsBadSplit) {
   EXPECT_EQ(streamed.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(CorpusStreamTest, StreamTrainerSingleShardMatchesResident) {
+TEST_F(CorpusStreamTest, StreamTrainerOneShardRoundTripTrainsIdentically) {
   const SimilarityMatrices sims =
       ComputeSimilarityMatrices(corpus_, 16, pool_);
   TrainConfig cfg;
@@ -230,20 +230,39 @@ TEST_F(CorpusStreamTest, StreamTrainerSingleShardMatchesResident) {
   // A serial pool makes gradient accumulation order (and so the whole
   // training run) bit-for-bit reproducible, which the equality below needs.
   ThreadPool serial(1);
-  TrainResult resident = TrainLearnShapley(corpus_, sims, cfg, serial);
-  InMemoryCorpusStream stream(corpus_);
-  auto streamed = TrainLearnShapleyStream(stream, &sims, cfg, serial);
-  ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+  TrainResult built = TrainLearnShapley(corpus_, sims, cfg, serial);
+  // The loaded corpus holds the same content, but its lineage hash maps are
+  // filled in a different order than the builder's.
+  ShardedCorpusStream stream = OpenSharded(1);
+  auto loaded = TrainLearnShapleyStream(stream, &sims, cfg, serial);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  // Same seed, same data, same dispatch path: identical training run.
-  EXPECT_DOUBLE_EQ(streamed->pretrain_dev_mse, resident.pretrain_dev_mse);
-  EXPECT_DOUBLE_EQ(streamed->best_dev_ndcg10, resident.best_dev_ndcg10);
-  ASSERT_NE(streamed->ranker, nullptr);
-  const EvalSummary a = EvaluateScorer(corpus_, corpus_.test_idx,
-                                       *resident.ranker, {}, pool_);
-  const EvalSummary b = EvaluateScorer(corpus_, corpus_.test_idx,
-                                       *streamed->ranker, {}, pool_);
+  EXPECT_DOUBLE_EQ(loaded->pretrain_dev_mse, built.pretrain_dev_mse);
+  EXPECT_DOUBLE_EQ(loaded->best_dev_ndcg10, built.best_dev_ndcg10);
+  ASSERT_NE(loaded->ranker, nullptr);
+  const EvalSummary a =
+      EvaluateScorer(corpus_, corpus_.test_idx, *built.ranker, {}, pool_);
+  const EvalSummary b =
+      EvaluateScorer(corpus_, corpus_.test_idx, *loaded->ranker, {}, pool_);
   EXPECT_DOUBLE_EQ(a.ndcg10, b.ndcg10);
+}
+
+TEST_F(CorpusStreamTest, StreamTrainerRejectsBadTrainSubset) {
+  TrainConfig cfg;
+  cfg.model_size = TrainConfig::ModelSize::kSmallAblation;
+  cfg.do_pretrain = false;
+  cfg.finetune_epochs = 1;
+  cfg.train_subset = {0, corpus_.entries.size() + 5};
+
+  InMemoryCorpusStream in_memory(corpus_);
+  auto resident = TrainLearnShapleyStream(in_memory, nullptr, cfg, pool_);
+  ASSERT_FALSE(resident.ok());
+  EXPECT_EQ(resident.status().code(), StatusCode::kInvalidArgument);
+
+  ShardedCorpusStream sharded = OpenSharded(2);
+  auto streamed = TrainLearnShapleyStream(sharded, nullptr, cfg, pool_);
+  ASSERT_FALSE(streamed.ok());
+  EXPECT_EQ(streamed.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(CorpusStreamTest, StreamTrainerMultiShardRunsBounded) {

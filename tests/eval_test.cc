@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/metrics.h"
 #include "eval/evaluator.h"
 #include "paper_fixture.h"
 #include "shapley/shapley.h"
@@ -181,6 +182,19 @@ TEST_F(EvalTest, SingleTableScanWithProjectionDedup) {
   for (const auto& c : result->ProvenanceOf(y2007).clauses()) {
     EXPECT_EQ(c.size(), 1u);
   }
+}
+
+// Projection is attributed to its own layer: the join span covers only the
+// join loop, so eval.project is a sibling of eval.join under eval.query.
+TEST_F(EvalTest, ProjectSpanIsNotNestedInJoinSpan) {
+  MetricsRegistry registry;
+  auto result =
+      Evaluate(*ex_.db, ex_.q_inf, EvalOptions().WithMetrics(&registry));
+  ASSERT_TRUE(result.ok());
+  EXPECT_GT(registry.SpanAt({"eval.query", "eval.join"}).count, 0u);
+  EXPECT_GT(registry.SpanAt({"eval.query", "eval.project"}).count, 0u);
+  EXPECT_EQ(
+      registry.SpanAt({"eval.query", "eval.join", "eval.project"}).count, 0u);
 }
 
 }  // namespace
