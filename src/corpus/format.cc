@@ -444,8 +444,6 @@ Status ShardWriter::Finish(const ShardBuildStats* stats) {
   PutVarint(footer, stats ? stats->monte_carlo : 0);
   PutVarint(footer, stats ? stats->cnf_proxy : 0);
   PutVarint(footer, stats ? stats->skipped : 0);
-  // Version-02 extension; kept after the v1 fields so the v1 reader layout
-  // is a strict prefix.
   PutVarint(footer, stats ? stats->stratified : 0);
   // Checksum covers [0, footer_offset): the record region the offsets
   // point into. The footer guards itself with the trailer structure.
@@ -512,8 +510,7 @@ Result<ShardReader> ShardReader::Open(const std::string& path,
   // Minimum viable file: magic + footer (>= fingerprint + checksum) +
   // trailer.
   if (buf.size() < 8 + 16 + 16) return bad("file too small");
-  const bool v2 = std::memcmp(buf.data(), kShardMagic, 8) == 0;
-  if (!v2 && std::memcmp(buf.data(), kShardMagicV1, 8) != 0) {
+  if (std::memcmp(buf.data(), kShardMagic, 8) != 0) {
     return bad("bad magic (not a packed corpus shard)");
   }
   if (std::memcmp(buf.data() + buf.size() - 8, kShardTrailerMagic, 8) != 0) {
@@ -557,7 +554,7 @@ Result<ShardReader> ShardReader::Open(const std::string& path,
   f.monte_carlo = static_cast<size_t>(r.Varint());
   f.cnf_proxy = static_cast<size_t>(r.Varint());
   f.skipped = static_cast<size_t>(r.Varint());
-  if (v2) f.stratified = static_cast<size_t>(r.Varint());
+  f.stratified = static_cast<size_t>(r.Varint());
   f.checksum = r.Fixed64();
   if (!r.ok()) return bad("truncated footer");
 
@@ -641,13 +638,12 @@ void PutShardStats(std::string& out, const ShardBuildStats& s) {
   PutVarint(out, s.monte_carlo);
   PutVarint(out, s.cnf_proxy);
   PutVarint(out, s.skipped);
-  // Version-02 extension, after the v1 fixed fields.
   PutVarint(out, s.stratified);
   PutFixed64(out, DoubleBits(s.wall_seconds));
   PutStatsMap(out, s.budget_trips);
 }
 
-Result<ShardBuildStats> ReadShardStats(ByteReader& r, bool v2) {
+Result<ShardBuildStats> ReadShardStats(ByteReader& r) {
   ShardBuildStats s;
   s.shard_index = static_cast<uint32_t>(r.Varint());
   s.entries = static_cast<size_t>(r.Varint());
@@ -655,7 +651,7 @@ Result<ShardBuildStats> ReadShardStats(ByteReader& r, bool v2) {
   s.monte_carlo = static_cast<size_t>(r.Varint());
   s.cnf_proxy = static_cast<size_t>(r.Varint());
   s.skipped = static_cast<size_t>(r.Varint());
-  if (v2) s.stratified = static_cast<size_t>(r.Varint());
+  s.stratified = static_cast<size_t>(r.Varint());
   s.wall_seconds = BitsToDouble(r.Fixed64());
   auto trips = ReadStatsMap(r);
   if (!trips.ok()) return trips.status();
@@ -689,7 +685,6 @@ Status WriteManifest(const CorpusManifest& manifest,
   PutVarint(out, st.monte_carlo);
   PutVarint(out, st.cnf_proxy);
   PutVarint(out, st.skipped);
-  // Version-02 extension, after the v1 fixed fields.
   PutVarint(out, st.stratified);
   PutFixed64(out, DoubleBits(st.wall_seconds));
   PutStatsMap(out, st.budget_trips);
@@ -708,8 +703,7 @@ Result<CorpusManifest> ReadManifest(const std::string& path) {
   if (!bytes.ok()) return bytes.status();
   const std::string& buf = *bytes;
   if (buf.size() < 8 + 8 + 8) return bad("file too small");
-  const bool v2 = std::memcmp(buf.data(), kManifestMagic, 8) == 0;
-  if (!v2 && std::memcmp(buf.data(), kManifestMagicV1, 8) != 0) {
+  if (std::memcmp(buf.data(), kManifestMagic, 8) != 0) {
     return bad("bad magic (not a packed corpus manifest)");
   }
   uint64_t stored_checksum;
@@ -756,7 +750,7 @@ Result<CorpusManifest> ReadManifest(const std::string& path) {
   st.monte_carlo = static_cast<size_t>(r.Varint());
   st.cnf_proxy = static_cast<size_t>(r.Varint());
   st.skipped = static_cast<size_t>(r.Varint());
-  if (v2) st.stratified = static_cast<size_t>(r.Varint());
+  st.stratified = static_cast<size_t>(r.Varint());
   st.wall_seconds = BitsToDouble(r.Fixed64());
   auto trips = ReadStatsMap(r);
   if (!trips.ok()) return bad(trips.status().message());
@@ -767,7 +761,7 @@ Result<CorpusManifest> ReadManifest(const std::string& path) {
   }
   st.per_shard.reserve(static_cast<size_t>(num_shard_stats));
   for (uint64_t i = 0; i < num_shard_stats; ++i) {
-    auto s = ReadShardStats(r, v2);
+    auto s = ReadShardStats(r);
     if (!s.ok()) return bad(s.status().message());
     st.per_shard.push_back(std::move(*s));
   }
@@ -780,8 +774,7 @@ bool LooksLikeManifest(const std::string& path) {
   if (!in) return false;
   char magic[8];
   in.read(magic, 8);
-  return in && (std::memcmp(magic, kManifestMagic, 8) == 0 ||
-                std::memcmp(magic, kManifestMagicV1, 8) == 0);
+  return in && std::memcmp(magic, kManifestMagic, 8) == 0;
 }
 
 std::string ShardFileName(const std::string& base, size_t shard_index) {

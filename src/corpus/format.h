@@ -46,13 +46,11 @@ inline constexpr char kSiteShardRecord[] = "corpus.shard_record";
 
 // Format magics, 8 bytes each. The trailing version digits gate evolution:
 // readers reject files whose magic they do not know. Version 02 appended
-// the stratified-rung count to the footer/manifest stats blocks; writers
-// emit 02 and readers accept both (01 files load with stratified == 0).
+// the stratified-rung count to the footer/manifest stats blocks; version 01
+// files fail on the magic check.
 inline constexpr char kShardMagic[9] = "LSHPCS02";
-inline constexpr char kShardMagicV1[9] = "LSHPCS01";
 inline constexpr char kShardTrailerMagic[9] = "LSHPSFTR";
 inline constexpr char kManifestMagic[9] = "LSHPCM02";
-inline constexpr char kManifestMagicV1[9] = "LSHPCM01";
 
 // How a shard encodes Shapley payloads.
 enum class ShapleyPayload : uint8_t {
@@ -136,8 +134,7 @@ struct ShardFooter {
   ShapleyPayload payload = ShapleyPayload::kFloat64;
   std::vector<uint64_t> record_offsets;  // absolute, one per record
   // Per-rung BuildStats breakdown for the shard (zero when the shard was
-  // written by a plain re-save that has no per-shard provenance; stratified
-  // is additionally zero for version-01 files, which predate the rung).
+  // written by a plain re-save that has no per-shard provenance).
   size_t exact = 0;
   size_t stratified = 0;
   size_t monte_carlo = 0;

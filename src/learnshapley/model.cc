@@ -16,85 +16,104 @@ LearnShapleyModel::LearnShapleyModel(const EncoderConfig& encoder_config,
 
 namespace {
 
-// Extracts the [CLS] row (row 0) as a 1×dim tensor.
-Tensor ClsRow(const Tensor& hidden) {
-  Tensor cls(1, hidden.cols());
+// Per-thread workspace of the training steps: the forward's arena and the
+// activation record Backward reads. Reusing it keeps its buffers' capacity
+// from step to step; the model itself holds no activations.
+struct TrainingWorkspace {
+  InferenceArena arena;
+  EncoderRecord record;
+};
+
+TrainingWorkspace& TlsTrainingWorkspace() {
+  thread_local TrainingWorkspace workspace;
+  workspace.arena.Reset();
+  return workspace;
+}
+
+}  // namespace
+
+const Tensor& LearnShapleyModel::Cls(const EncodedPair& input,
+                                     InferenceArena& arena,
+                                     EncoderRecord* record) const {
+  Tensor& hidden = arena.Get(input.ids.size(), encoder_.config().dim);
+  encoder_.ForwardInference(input.ids, input.mask, arena, hidden, record);
+  Tensor& cls = arena.Get(1, hidden.cols());
   std::copy(hidden.row_data(0), hidden.row_data(0) + hidden.cols(),
             cls.row_data(0));
   return cls;
 }
 
-}  // namespace
+void LearnShapleyModel::BackwardFromCls(const EncoderRecord& record,
+                                        const Tensor& d_cls) {
+  Tensor d_hidden(record.ids.size(), d_cls.cols());
+  std::copy(d_cls.row_data(0), d_cls.row_data(0) + d_cls.cols(),
+            d_hidden.row_data(0));
+  encoder_.Backward(record, d_hidden);
+}
 
 float LearnShapleyModel::PretrainStep(const EncodedPair& pair,
                                       double sim_rank, double sim_witness,
                                       double sim_syntax,
                                       const PretrainObjectives& objectives) {
-  const Tensor hidden = encoder_.Forward(pair.ids, pair.mask);
-  const Tensor cls = ClsRow(hidden);
+  TrainingWorkspace& ws = TlsTrainingWorkspace();
+  const Tensor& cls = Cls(pair, ws.arena, &ws.record);
 
   float loss = 0.0f;
   Tensor d_cls(1, cls.cols());
+  Tensor& pred = ws.arena.Get(1, 1);
   auto run_head = [&](Linear& head, double target) {
-    const Tensor pred = head.Forward(cls);
+    head.ForwardInference(cls, pred);
     const float err = pred.at(0, 0) - static_cast<float>(target);
     loss += err * err;
     Tensor d_pred(1, 1);
     d_pred.at(0, 0) = 2.0f * err;
-    d_cls.Add(head.Backward(d_pred));
+    d_cls.Add(head.Backward(cls, d_pred));
   };
   if (objectives.rank) run_head(head_rank_, sim_rank);
   if (objectives.witness) run_head(head_witness_, sim_witness);
   if (objectives.syntax) run_head(head_syntax_, sim_syntax);
 
-  Tensor d_hidden(hidden.rows(), hidden.cols());
-  std::copy(d_cls.row_data(0), d_cls.row_data(0) + d_cls.cols(),
-            d_hidden.row_data(0));
-  encoder_.Backward(d_hidden);
+  BackwardFromCls(ws.record, d_cls);
   return loss;
 }
 
 LearnShapleyModel::Similarities LearnShapleyModel::PredictSimilarities(
-    const EncodedPair& pair) {
-  const Tensor hidden = encoder_.Forward(pair.ids, pair.mask);
-  const Tensor cls = ClsRow(hidden);
+    const EncodedPair& pair) const {
+  InferenceArena arena;
+  const Tensor& cls = Cls(pair, arena);
+  Tensor& pred = arena.Get(1, 1);
   Similarities out;
-  out.rank = head_rank_.Forward(cls).at(0, 0);
-  out.witness = head_witness_.Forward(cls).at(0, 0);
-  out.syntax = head_syntax_.Forward(cls).at(0, 0);
+  head_rank_.ForwardInference(cls, pred);
+  out.rank = pred.at(0, 0);
+  head_witness_.ForwardInference(cls, pred);
+  out.witness = pred.at(0, 0);
+  head_syntax_.ForwardInference(cls, pred);
+  out.syntax = pred.at(0, 0);
   return out;
 }
 
 float LearnShapleyModel::FinetuneStep(const EncodedPair& input, float target) {
-  const Tensor hidden = encoder_.Forward(input.ids, input.mask);
-  const Tensor cls = ClsRow(hidden);
-  const Tensor pred = head_shapley_.Forward(cls);
+  TrainingWorkspace& ws = TlsTrainingWorkspace();
+  const Tensor& cls = Cls(input, ws.arena, &ws.record);
+  Tensor& pred = ws.arena.Get(1, 1);
+  head_shapley_.ForwardInference(cls, pred);
   const float err = pred.at(0, 0) - target;
 
   Tensor d_pred(1, 1);
   d_pred.at(0, 0) = 2.0f * err;
-  const Tensor d_cls = head_shapley_.Backward(d_pred);
-  Tensor d_hidden(hidden.rows(), hidden.cols());
-  std::copy(d_cls.row_data(0), d_cls.row_data(0) + d_cls.cols(),
-            d_hidden.row_data(0));
-  encoder_.Backward(d_hidden);
+  BackwardFromCls(ws.record, head_shapley_.Backward(cls, d_pred));
   return err * err;
 }
 
-float LearnShapleyModel::PredictShapley(const EncodedPair& input) {
-  const Tensor hidden = encoder_.Forward(input.ids, input.mask);
-  const Tensor cls = ClsRow(hidden);
-  return head_shapley_.Forward(cls).at(0, 0);
+float LearnShapleyModel::PredictShapley(const EncodedPair& input) const {
+  InferenceArena arena;
+  return PredictShapley(input, arena);
 }
 
 float LearnShapleyModel::PredictShapley(const EncodedPair& input,
                                         InferenceArena& arena) const {
   arena.Reset();
-  Tensor& hidden = arena.Get(input.ids.size(), encoder_.config().dim);
-  encoder_.ForwardInference(input.ids, input.mask, arena, hidden);
-  Tensor& cls = arena.Get(1, hidden.cols());
-  std::copy(hidden.row_data(0), hidden.row_data(0) + hidden.cols(),
-            cls.row_data(0));
+  const Tensor& cls = Cls(input, arena);
   Tensor& pred = arena.Get(1, 1);
   head_shapley_.ForwardInference(cls, pred);
   return pred.at(0, 0);

@@ -26,8 +26,9 @@ struct PretrainObjectives {
 // regression head used during fine-tuning and inference. All heads read the
 // [CLS] representation.
 //
-// The model is copyable; copies share nothing, which is how evaluation
-// parallelizes across threads.
+// Predictions are const, so evaluation and serving threads share one model.
+// Training steps accumulate gradients into Params, so data-parallel
+// training gives each worker its own copy (copies share nothing).
 class LearnShapleyModel {
  public:
   LearnShapleyModel() = default;
@@ -47,7 +48,7 @@ class LearnShapleyModel {
     float witness = 0.0f;
     float syntax = 0.0f;
   };
-  Similarities PredictSimilarities(const EncodedPair& pair);
+  Similarities PredictSimilarities(const EncodedPair& pair) const;
 
   // --- Fine-tuning (Shapley regression) ---
 
@@ -55,12 +56,11 @@ class LearnShapleyModel {
   // scaled (×1000 per the paper). Returns the sample loss.
   float FinetuneStep(const EncodedPair& input, float target);
 
-  // Predicted (scaled) Shapley value.
-  float PredictShapley(const EncodedPair& input);
+  // Predicted (scaled) Shapley value, with a call-local arena.
+  float PredictShapley(const EncodedPair& input) const;
 
-  // Const, scratch-free twin of PredictShapley: bit-identical result, all
-  // intermediates from the caller's per-thread arena. This is what lets one
-  // model instance serve many threads (serving, parallel evaluation).
+  // The same prediction with all intermediates from the caller's
+  // per-thread arena, which serving reuses across calls.
   float PredictShapley(const EncodedPair& input, InferenceArena& arena) const;
 
   std::vector<Param*> Params();
@@ -74,6 +74,12 @@ class LearnShapleyModel {
   const Linear& head_shapley() const { return head_shapley_; }
 
  private:
+  // The encoder forward up to the [CLS] row (an arena slot). Training steps
+  // pass `record`, then hand it to BackwardFromCls with d[CLS].
+  const Tensor& Cls(const EncodedPair& input, InferenceArena& arena,
+                    EncoderRecord* record = nullptr) const;
+  void BackwardFromCls(const EncoderRecord& record, const Tensor& d_cls);
+
   TransformerEncoder encoder_;
   Linear head_rank_;
   Linear head_witness_;

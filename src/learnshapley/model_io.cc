@@ -65,9 +65,8 @@ Status SaveRanker(LearnShapleyRanker& ranker, const std::string& path) {
     out << '\n';
   }
 
-  // Optional v2 quantized section: present iff the ranker carries an int8
-  // model, so float-only artifacts stay byte-compatible with v1 readers
-  // modulo the header line.
+  // Optional quantized section: present iff the ranker carries an int8
+  // model.
   if (const QuantizedShapleyModel* q = ranker.quantized_model()) {
     const auto linears = q->AllLinears();
     out << "quant " << linears.size() << ' '
@@ -115,11 +114,35 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
   };
 
   std::string line;
-  if (!std::getline(in, line) ||
-      (line != "LSHAP_MODEL 1" && line != "LSHAP_MODEL 2")) {
+  // Reads n whitespace-separated floats (lossless hex) into `out`. Each
+  // token must parse whole: "zz" is malformed, not 0.
+  auto read_floats = [&](std::istream& ls, float* out, size_t n,
+                         const std::string& what) {
+    for (size_t i = 0; i < n; ++i) {
+      std::string token;
+      if (!(ls >> token)) return bad("truncated " + what);
+      char* end = nullptr;
+      out[i] = std::strtof(token.c_str(), &end);
+      if (end != token.c_str() + token.size()) {
+        return bad("malformed " + what + " value '" + token + "'");
+      }
+    }
+    return Status::Ok();
+  };
+  // Reads the next line as "<key> v0 v1 ..." with values.size() floats.
+  auto read_float_line = [&](const std::string& key, const std::string& what,
+                             std::vector<float>& values) {
+    if (!std::getline(in, line)) return bad("truncated " + what);
+    std::istringstream ls(line);
+    std::string word;
+    ls >> word;
+    if (word != key) return bad("malformed " + what);
+    return read_floats(ls, values.data(), values.size(), what);
+  };
+
+  if (!std::getline(in, line) || line != "LSHAP_MODEL 2") {
     return bad("missing header");
   }
-  const int version = line == "LSHAP_MODEL 1" ? 1 : 2;
   if (!std::getline(in, line) || !StartsWith(line, "name ")) {
     return bad("missing name");
   }
@@ -141,6 +164,18 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
     std::string word;
     ls >> word >> ranker_max_len;
     if (word != "ranker" || !ls) return bad("malformed ranker line");
+  }
+  // Checked before any model is built: the attention constructor divides
+  // by num_heads, and the encoder aborts on inputs longer than max_len. A
+  // ranker input holds [CLS] and two [SEP]s.
+  if (cfg.num_heads == 0) return bad("num_heads must be at least 1");
+  if (cfg.dim % cfg.num_heads != 0) {
+    return bad(StrFormat("dim %zu is not divisible by num_heads %zu",
+                         cfg.dim, cfg.num_heads));
+  }
+  if (ranker_max_len < 3 || ranker_max_len > cfg.max_len) {
+    return bad(StrFormat("ranker max_len %zu outside [3, %zu]",
+                         ranker_max_len, cfg.max_len));
   }
 
   auto vocab = std::make_shared<Vocab>();
@@ -179,20 +214,18 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
     if (rows != p->value.rows() || cols != p->value.cols()) {
       return bad("tensor shape mismatch");
     }
-    for (size_t i = 0; i < p->value.size(); ++i) {
-      std::string hex;
-      if (!(ls >> hex)) return bad("truncated tensor data");
-      p->value.data()[i] = std::strtof(hex.c_str(), nullptr);
-    }
+    Status st = read_floats(ls, p->value.data(), p->value.size(),
+                            "tensor data");
+    if (!st.ok()) return st;
   }
 
-  // Optional quantized section (v2 only). The shapes come from quantizing
-  // the just-loaded float model, then every scale/bias/weight is overwritten
+  // Optional quantized section. The shapes come from quantizing the
+  // just-loaded float model, then every scale/bias/weight is overwritten
   // with the stored values and cross-checked against the FNV-1a checksum.
   bool have_quant = false;
   InferenceMode quant_mode = InferenceMode::kQuantized;
   QuantizedShapleyModel qmodel;
-  if (version >= 2 && std::getline(in, line) && StartsWith(line, "quant ")) {
+  if (std::getline(in, line) && StartsWith(line, "quant ")) {
     std::istringstream ls(line);
     std::string word;
     std::string mode_name;
@@ -218,28 +251,12 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
           return bad("quant linear shape mismatch");
         }
       }
-      if (!std::getline(in, line)) return bad("truncated quant scales");
-      {
-        std::istringstream qs(line);
-        qs >> word;
-        if (word != "qscales") return bad("malformed quant scales");
-        for (float& s : lin->mutable_scales()) {
-          std::string hex;
-          if (!(qs >> hex)) return bad("truncated quant scales");
-          s = std::strtof(hex.c_str(), nullptr);
-        }
+      Status st =
+          read_float_line("qscales", "quant scales", lin->mutable_scales());
+      if (st.ok()) {
+        st = read_float_line("qbias", "quant bias", lin->mutable_bias());
       }
-      if (!std::getline(in, line)) return bad("truncated quant bias");
-      {
-        std::istringstream qs(line);
-        qs >> word;
-        if (word != "qbias") return bad("malformed quant bias");
-        for (float& b : lin->mutable_bias()) {
-          std::string hex;
-          if (!(qs >> hex)) return bad("truncated quant bias");
-          b = std::strtof(hex.c_str(), nullptr);
-        }
-      }
+      if (!st.ok()) return st;
       if (!std::getline(in, line)) return bad("truncated quant weights");
       {
         std::istringstream qs(line);

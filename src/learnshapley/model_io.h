@@ -16,7 +16,7 @@ namespace lshap {
 Status SaveRanker(LearnShapleyRanker& ranker, const std::string& path);
 
 // Loads a ranker saved by SaveRanker. Predictions are bit-identical to the
-// saved model's.
+// saved model's. A corrupt file returns kInvalidArgument, never a crash.
 Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
     const std::string& path);
 

@@ -113,13 +113,12 @@ EncoderConfig MakeEncoderConfig(TrainConfig::ModelSize size,
 }
 
 // Mean MSE of the enabled similarity heads over a set of pair samples,
-// evaluated in parallel with per-worker clones.
+// evaluated in parallel; the workers share the const model.
 double PairMse(const std::vector<PairSample>& pairs,
                const PretrainObjectives& objectives,
                const LearnShapleyModel& model, ThreadPool& pool) {
   if (pairs.empty()) return 0.0;
   const size_t num_workers = std::max<size_t>(1, pool.num_threads());
-  std::vector<LearnShapleyModel> clones(num_workers, model);
   std::vector<double> sums(num_workers, 0.0);
   std::atomic<size_t> next{0};
   for (size_t w = 0; w < num_workers; ++w) {
@@ -127,7 +126,7 @@ double PairMse(const std::vector<PairSample>& pairs,
       for (;;) {
         const size_t i = next.fetch_add(1);
         if (i >= pairs.size()) return;
-        const auto sims = clones[w].PredictSimilarities(pairs[i].input);
+        const auto sims = model.PredictSimilarities(pairs[i].input);
         double err = 0.0;
         int terms = 0;
         if (objectives.rank) {
@@ -235,6 +234,13 @@ double PretrainOnSims(const std::vector<size_t>& train,
                       LearnShapleyModel& model, DataParallelRunner& runner,
                       ThreadPool& pool, Rng& rng, size_t& total_examples) {
   ScopedSpan pretrain_span(config.metrics, "train.pretrain");
+  // Query pair (a, b), encoded, with its three similarity targets.
+  auto make_sample = [&](size_t a, size_t b) {
+    return PairSample{
+        EncodeSegments(vocab, {query_tokens[a], query_tokens[b]},
+                       config.max_len),
+        sims.rank[a][b], sims.witness[a][b], sims.syntax[a][b]};
+  };
   // All train-train pairs (i < j) as candidates.
   std::vector<std::pair<size_t, size_t>> train_pairs;
   for (size_t a = 0; a < train.size(); ++a) {
@@ -252,14 +258,7 @@ double PretrainOnSims(const std::vector<size_t>& train,
     rng.Shuffle(cands);
     const size_t take = std::min<size_t>(cands.size(), 256);
     for (size_t i = 0; i < take; ++i) {
-      const auto [a, b] = cands[i];
-      PairSample ps;
-      ps.input = EncodeSegments(vocab, {query_tokens[a], query_tokens[b]},
-                                config.max_len);
-      ps.sim_rank = sims.rank[a][b];
-      ps.sim_witness = sims.witness[a][b];
-      ps.sim_syntax = sims.syntax[a][b];
-      dev_pairs.push_back(std::move(ps));
+      dev_pairs.push_back(make_sample(cands[i].first, cands[i].second));
     }
   }
 
@@ -278,14 +277,8 @@ double PretrainOnSims(const std::vector<size_t>& train,
     std::vector<PairSample> samples;
     samples.reserve(take);
     for (size_t i = 0; i < take; ++i) {
-      const auto [a, b] = train_pairs[i];
-      PairSample ps;
-      ps.input = EncodeSegments(vocab, {query_tokens[a], query_tokens[b]},
-                                config.max_len);
-      ps.sim_rank = sims.rank[a][b];
-      ps.sim_witness = sims.witness[a][b];
-      ps.sim_syntax = sims.syntax[a][b];
-      samples.push_back(std::move(ps));
+      samples.push_back(make_sample(train_pairs[i].first,
+                                    train_pairs[i].second));
     }
     float epoch_loss = 0.0f;
     for (size_t begin = 0; begin < samples.size();

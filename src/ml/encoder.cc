@@ -46,52 +46,56 @@ TransformerEncoder::TransformerEncoder(const EncoderConfig& config)
   }
 }
 
-Tensor TransformerEncoder::Forward(const std::vector<int>& ids,
-                                   const std::vector<bool>& mask) {
-  LSHAP_CHECK_LE(ids.size(), config_.max_len);
-  LSHAP_CHECK_EQ(ids.size(), mask.size());
-  std::vector<int> pos(ids.size());
-  for (size_t i = 0; i < pos.size(); ++i) pos[i] = static_cast<int>(i);
-  Tensor h = tok_emb_.Forward(ids);
-  h.Add(pos_emb_.Forward(pos));
-  for (auto& layer : layers_) h = layer.Forward(h, mask);
-  return final_ln_.Forward(h);
+void TransformerEncoder::Embed(const Tensor& tok_table,
+                               const Tensor& pos_table,
+                               const std::vector<int>& ids, Tensor& out) {
+  const size_t n = ids.size();
+  const size_t dim = tok_table.cols();
+  LSHAP_CHECK_LE(n, pos_table.rows());
+  out.Resize(n, dim);
+  for (size_t i = 0; i < n; ++i) {
+    LSHAP_CHECK_LT(static_cast<size_t>(ids[i]), tok_table.rows());
+    const float* src = tok_table.row_data(static_cast<size_t>(ids[i]));
+    const float* prow = pos_table.row_data(i);
+    float* dst = out.row_data(i);
+    for (size_t c = 0; c < dim; ++c) dst[c] = src[c] + prow[c];
+  }
 }
 
 void TransformerEncoder::ForwardInference(const std::vector<int>& ids,
                                           const std::vector<bool>& mask,
-                                          InferenceArena& arena,
-                                          Tensor& out) const {
-  LSHAP_CHECK_LE(ids.size(), config_.max_len);
+                                          InferenceArena& arena, Tensor& out,
+                                          EncoderRecord* record) const {
   LSHAP_CHECK_EQ(ids.size(), mask.size());
   const size_t n = ids.size();
   const size_t dim = config_.dim;
   Tensor& h0 = arena.Get(n, dim);
-  const Tensor& tok = tok_emb_.table();
-  const Tensor& pos = pos_emb_.table();
-  for (size_t i = 0; i < n; ++i) {
-    LSHAP_CHECK_LT(static_cast<size_t>(ids[i]), tok.rows());
-    const float* src = tok.row_data(static_cast<size_t>(ids[i]));
-    const float* prow = pos.row_data(i);
-    float* dst = h0.row_data(i);
-    for (size_t c = 0; c < dim; ++c) dst[c] = src[c] + prow[c];
+  Embed(tok_emb_.table(), pos_emb_.table(), ids, h0);
+  if (record != nullptr) {
+    record->ids = ids;
+    record->layers.resize(layers_.size());
   }
   const Tensor* cur = &h0;
-  for (const auto& layer : layers_) {
+  for (size_t l = 0; l < layers_.size(); ++l) {
     Tensor& next = arena.Get(n, dim);
-    layer.ForwardInference(*cur, mask, arena, next);
+    layers_[l].ForwardInference(*cur, mask, arena, next,
+                                record ? &record->layers[l] : nullptr);
     cur = &next;
   }
-  final_ln_.ForwardInference(*cur, out);
+  final_ln_.ForwardInference(*cur, out,
+                             record ? &record->final_ln : nullptr);
 }
 
-void TransformerEncoder::Backward(const Tensor& d_hidden) {
-  Tensor d = final_ln_.Backward(d_hidden);
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    d = it->Backward(d);
+void TransformerEncoder::Backward(const EncoderRecord& record,
+                                  const Tensor& d_hidden) {
+  Tensor d = final_ln_.Backward(record.final_ln, d_hidden);
+  for (size_t l = layers_.size(); l-- > 0;) {
+    d = layers_[l].Backward(record.layers[l], d);
   }
-  tok_emb_.Backward(d);
-  pos_emb_.Backward(d);
+  std::vector<int> pos(record.ids.size());
+  for (size_t i = 0; i < pos.size(); ++i) pos[i] = static_cast<int>(i);
+  tok_emb_.Backward(record.ids, d);
+  pos_emb_.Backward(pos, d);
 }
 
 std::vector<Param*> TransformerEncoder::Params() {

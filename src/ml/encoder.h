@@ -25,6 +25,14 @@ struct EncoderConfig {
   static EncoderConfig SmallAblation(size_t vocab_size);
 };
 
+// What TransformerEncoder::Backward reads: the token ids and every
+// block's record. Owned by the training step that runs the forward.
+struct EncoderRecord {
+  std::vector<int> ids;
+  std::vector<TransformerLayerRecord> layers;
+  LayerNormRecord final_ln;
+};
+
 // A BERT-style bidirectional transformer encoder: learned token + position
 // embeddings, pre-LN encoder blocks, final LayerNorm. The [CLS] position
 // (row 0) is the sequence representation for regression heads.
@@ -33,16 +41,20 @@ class TransformerEncoder {
   TransformerEncoder() = default;
   explicit TransformerEncoder(const EncoderConfig& config);
 
-  // ids.size() must be ≤ max_len; mask[i] marks non-pad positions.
-  Tensor Forward(const std::vector<int>& ids, const std::vector<bool>& mask);
-  void Backward(const Tensor& d_hidden);
-
-  // Scratch-free inference twin of Forward(): const, bit-identical output,
-  // all intermediates from the caller's arena. Makes one encoder instance
-  // shareable across threads (each thread brings its own arena).
+  // ids.size() must be ≤ max_len; mask[i] marks non-pad positions. Const,
+  // with all intermediates from the caller's arena, so threads share one
+  // encoder. A training step passes `record`, then calls Backward with it.
   void ForwardInference(const std::vector<int>& ids,
                         const std::vector<bool>& mask, InferenceArena& arena,
-                        Tensor& out) const;
+                        Tensor& out, EncoderRecord* record = nullptr) const;
+  // Accumulates parameter grads for the forward that filled `record`.
+  void Backward(const EncoderRecord& record, const Tensor& d_hidden);
+
+  // out[i] = tok_table[ids[i]] + pos_table[i]: the embedding sum that opens
+  // the forward. Static so the int8 encoder, which keeps its own copies of
+  // the two tables, runs the same lookup.
+  static void Embed(const Tensor& tok_table, const Tensor& pos_table,
+                    const std::vector<int>& ids, Tensor& out);
 
   std::vector<Param*> Params();
 

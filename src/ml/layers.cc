@@ -17,23 +17,14 @@ Linear::Linear(size_t in, size_t out, Rng& rng) {
   b_.Init(Tensor::Zeros(1, out));
 }
 
-Tensor Linear::Forward(const Tensor& x) {
-  x_ = x;
-  Tensor y = MatMul(x, w_.value);
-  AddRowBroadcast(y, b_.value);
-  return y;
-}
-
 void Linear::ForwardInference(const Tensor& x, Tensor& y) const {
-  // Same arithmetic as Forward() (MatMul is MatMulInto under the hood), but
-  // const and without the x_ backward cache.
   MatMulInto(x, w_.value, y);
   AddRowBroadcast(y, b_.value);
 }
 
-Tensor Linear::Backward(const Tensor& dy) {
+Tensor Linear::Backward(const Tensor& x, const Tensor& dy) {
   // dW = xᵀ·dy ; db = column sums of dy ; dx = dy·Wᵀ.
-  Tensor dw = MatMulATB(x_, dy);
+  Tensor dw = MatMulATB(x, dy);
   w_.grad.Add(dw);
   for (size_t r = 0; r < dy.rows(); ++r) {
     const float* row = dy.row_data(r);
@@ -54,22 +45,10 @@ Embedding::Embedding(size_t vocab, size_t dim, Rng& rng) {
   table_.Init(Tensor::Randn(vocab, dim, 0.02f, rng));
 }
 
-Tensor Embedding::Forward(const std::vector<int>& ids) {
-  ids_ = ids;
-  Tensor out(ids.size(), table_.value.cols());
+void Embedding::Backward(const std::vector<int>& ids, const Tensor& dy) {
+  LSHAP_CHECK_EQ(dy.rows(), ids.size());
   for (size_t i = 0; i < ids.size(); ++i) {
-    LSHAP_CHECK_LT(static_cast<size_t>(ids[i]), table_.value.rows());
-    const float* src = table_.value.row_data(static_cast<size_t>(ids[i]));
-    float* dst = out.row_data(i);
-    std::copy(src, src + table_.value.cols(), dst);
-  }
-  return out;
-}
-
-void Embedding::Backward(const Tensor& dy) {
-  LSHAP_CHECK_EQ(dy.rows(), ids_.size());
-  for (size_t i = 0; i < ids_.size(); ++i) {
-    float* g = table_.grad.row_data(static_cast<size_t>(ids_[i]));
+    float* g = table_.grad.row_data(static_cast<size_t>(ids[i]));
     const float* src = dy.row_data(i);
     for (size_t c = 0; c < dy.cols(); ++c) g[c] += src[c];
   }
@@ -88,43 +67,15 @@ LayerNorm::LayerNorm(size_t dim) {
   beta_.Init(Tensor::Zeros(1, dim));
 }
 
-Tensor LayerNorm::Forward(const Tensor& x) {
-  const size_t n = x.rows();
-  const size_t d = x.cols();
-  xhat_ = Tensor(n, d);
-  rstd_.assign(n, 0.0f);
-  Tensor y(n, d);
-  for (size_t r = 0; r < n; ++r) {
-    const float* row = x.row_data(r);
-    float mean = 0.0f;
-    for (size_t c = 0; c < d; ++c) mean += row[c];
-    mean /= static_cast<float>(d);
-    float var = 0.0f;
-    for (size_t c = 0; c < d; ++c) {
-      const float diff = row[c] - mean;
-      var += diff * diff;
-    }
-    var /= static_cast<float>(d);
-    const float rstd = 1.0f / std::sqrt(var + 1e-5f);
-    rstd_[r] = rstd;
-    float* xh = xhat_.row_data(r);
-    float* out = y.row_data(r);
-    const float* g = gamma_.value.row_data(0);
-    const float* b = beta_.value.row_data(0);
-    for (size_t c = 0; c < d; ++c) {
-      xh[c] = (row[c] - mean) * rstd;
-      out[c] = xh[c] * g[c] + b[c];
-    }
-  }
-  return y;
-}
-
-void LayerNorm::ForwardInference(const Tensor& x, Tensor& y) const {
-  // Statement-for-statement the same float sequence as Forward(), with the
-  // normalized value in a local instead of the xhat_ cache.
+void LayerNorm::ForwardInference(const Tensor& x, Tensor& y,
+                                 LayerNormRecord* record) const {
   const size_t n = x.rows();
   const size_t d = x.cols();
   y.Resize(n, d);
+  if (record != nullptr) {
+    record->xhat.Resize(n, d);
+    record->rstd.assign(n, 0.0f);
+  }
   for (size_t r = 0; r < n; ++r) {
     const float* row = x.row_data(r);
     float mean = 0.0f;
@@ -144,17 +95,24 @@ void LayerNorm::ForwardInference(const Tensor& x, Tensor& y) const {
       const float xh = (row[c] - mean) * rstd;
       out[c] = xh * g[c] + b[c];
     }
+    if (record != nullptr) {
+      // The same expression as xh above, so Backward sees the exact values
+      // the output was built from.
+      record->rstd[r] = rstd;
+      float* xh = record->xhat.row_data(r);
+      for (size_t c = 0; c < d; ++c) xh[c] = (row[c] - mean) * rstd;
+    }
   }
 }
 
-Tensor LayerNorm::Backward(const Tensor& dy) {
+Tensor LayerNorm::Backward(const LayerNormRecord& record, const Tensor& dy) {
   const size_t n = dy.rows();
   const size_t d = dy.cols();
   Tensor dx(n, d);
   const float* g = gamma_.value.row_data(0);
   for (size_t r = 0; r < n; ++r) {
     const float* dyr = dy.row_data(r);
-    const float* xh = xhat_.row_data(r);
+    const float* xh = record.xhat.row_data(r);
     float* gg = gamma_.grad.row_data(0);
     float* bg = beta_.grad.row_data(0);
     float sum_dxhat = 0.0f;
@@ -170,7 +128,7 @@ Tensor LayerNorm::Backward(const Tensor& dy) {
     float* dxr = dx.row_data(r);
     for (size_t c = 0; c < d; ++c) {
       const float dxhat = dyr[c] * g[c];
-      dxr[c] = rstd_[r] *
+      dxr[c] = record.rstd[r] *
                (dxhat - inv_d * sum_dxhat - xh[c] * inv_d * sum_dxhat_xhat);
     }
   }
@@ -184,17 +142,6 @@ void LayerNorm::CollectParams(std::vector<Param*>& out) {
 
 // ------------------------------------------------------------------ Gelu
 
-Tensor Gelu::Forward(const Tensor& x) {
-  x_ = x;
-  Tensor y(x.rows(), x.cols());
-  for (size_t i = 0; i < x.size(); ++i) {
-    const float v = x.data()[i];
-    const float t = std::tanh(kGeluC * (v + 0.044715f * v * v * v));
-    y.data()[i] = 0.5f * v * (1.0f + t);
-  }
-  return y;
-}
-
 void Gelu::ForwardInference(const Tensor& x, Tensor& y) {
   y.Resize(x.rows(), x.cols());
   for (size_t i = 0; i < x.size(); ++i) {
@@ -204,10 +151,11 @@ void Gelu::ForwardInference(const Tensor& x, Tensor& y) {
   }
 }
 
-Tensor Gelu::Backward(const Tensor& dy) {
+Tensor Gelu::Backward(const Tensor& x, const Tensor& dy) {
+  LSHAP_CHECK_EQ(x.size(), dy.size());
   Tensor dx(dy.rows(), dy.cols());
   for (size_t i = 0; i < dy.size(); ++i) {
-    const float v = x_.data()[i];
+    const float v = x.data()[i];
     const float u = kGeluC * (v + 0.044715f * v * v * v);
     const float t = std::tanh(u);
     const float sech2 = 1.0f - t * t;
@@ -232,30 +180,41 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(size_t dim, size_t num_heads,
   LSHAP_CHECK_EQ(head_dim_ * num_heads_, dim_);
 }
 
-Tensor MultiHeadSelfAttention::Forward(const Tensor& x,
-                                       const std::vector<bool>& mask) {
+void MultiHeadSelfAttention::ForwardInference(const Tensor& x,
+                                              const std::vector<bool>& mask,
+                                              InferenceArena& arena,
+                                              Tensor& out,
+                                              AttentionRecord* record) const {
   const size_t n = x.rows();
-  mask_ = mask;
-  q_ = q_proj_.Forward(x);
-  k_ = k_proj_.Forward(x);
-  v_ = v_proj_.Forward(x);
+  Tensor& q = arena.Get(n, dim_);
+  Tensor& k = arena.Get(n, dim_);
+  Tensor& v = arena.Get(n, dim_);
+  q_proj_.ForwardInference(x, q);
+  k_proj_.ForwardInference(x, k);
+  v_proj_.ForwardInference(x, v);
+  if (record != nullptr) {
+    record->x = x;
+    record->q = q;
+    record->k = k;
+    record->v = v;
+    record->attn.resize(num_heads_);
+  }
 
-  attn_.assign(num_heads_, Tensor());
-  Tensor concat(n, dim_);
+  Tensor& concat = arena.Get(n, dim_);
+  Tensor& scores = arena.Get(n, n);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   for (size_t h = 0; h < num_heads_; ++h) {
     const size_t off = h * head_dim_;
     // Scores: s[i][j] = (q_i · k_j) * scale over this head's slice.
-    Tensor scores(n, n);
     for (size_t i = 0; i < n; ++i) {
-      const float* qi = q_.row_data(i) + off;
+      const float* qi = q.row_data(i) + off;
       float* srow = scores.row_data(i);
       for (size_t j = 0; j < n; ++j) {
-        if (!mask_[j]) {
+        if (!mask[j]) {
           srow[j] = -1e30f;
           continue;
         }
-        const float* kj = k_.row_data(j) + off;
+        const float* kj = k.row_data(j) + off;
         float dot = 0.0f;
         for (size_t c = 0; c < head_dim_; ++c) dot += qi[c] * kj[c];
         srow[j] = dot * scale;
@@ -274,66 +233,8 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x,
       const float inv = 1.0f / sum;
       for (size_t j = 0; j < n; ++j) srow[j] *= inv;
     }
+    if (record != nullptr) record->attn[h] = scores;
     // Head output: attn · V_head, written into the concat slice.
-    for (size_t i = 0; i < n; ++i) {
-      const float* arow = scores.row_data(i);
-      float* orow = concat.row_data(i) + off;
-      for (size_t c = 0; c < head_dim_; ++c) orow[c] = 0.0f;
-      for (size_t j = 0; j < n; ++j) {
-        const float a = arow[j];
-        if (a == 0.0f) continue;
-        const float* vj = v_.row_data(j) + off;
-        for (size_t c = 0; c < head_dim_; ++c) orow[c] += a * vj[c];
-      }
-    }
-    attn_[h] = std::move(scores);
-  }
-  return out_proj_.Forward(concat);
-}
-
-void MultiHeadSelfAttention::ForwardInference(const Tensor& x,
-                                              const std::vector<bool>& mask,
-                                              InferenceArena& arena,
-                                              Tensor& out) const {
-  const size_t n = x.rows();
-  Tensor& q = arena.Get(n, dim_);
-  Tensor& k = arena.Get(n, dim_);
-  Tensor& v = arena.Get(n, dim_);
-  q_proj_.ForwardInference(x, q);
-  k_proj_.ForwardInference(x, k);
-  v_proj_.ForwardInference(x, v);
-
-  Tensor& concat = arena.Get(n, dim_);
-  Tensor& scores = arena.Get(n, n);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  for (size_t h = 0; h < num_heads_; ++h) {
-    const size_t off = h * head_dim_;
-    for (size_t i = 0; i < n; ++i) {
-      const float* qi = q.row_data(i) + off;
-      float* srow = scores.row_data(i);
-      for (size_t j = 0; j < n; ++j) {
-        if (!mask[j]) {
-          srow[j] = -1e30f;
-          continue;
-        }
-        const float* kj = k.row_data(j) + off;
-        float dot = 0.0f;
-        for (size_t c = 0; c < head_dim_; ++c) dot += qi[c] * kj[c];
-        srow[j] = dot * scale;
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      float* srow = scores.row_data(i);
-      float max_v = -1e30f;
-      for (size_t j = 0; j < n; ++j) max_v = std::max(max_v, srow[j]);
-      float sum = 0.0f;
-      for (size_t j = 0; j < n; ++j) {
-        srow[j] = std::exp(srow[j] - max_v);
-        sum += srow[j];
-      }
-      const float inv = 1.0f / sum;
-      for (size_t j = 0; j < n; ++j) srow[j] *= inv;
-    }
     for (size_t i = 0; i < n; ++i) {
       const float* arow = scores.row_data(i);
       float* orow = concat.row_data(i) + off;
@@ -346,12 +247,14 @@ void MultiHeadSelfAttention::ForwardInference(const Tensor& x,
       }
     }
   }
+  if (record != nullptr) record->concat = concat;
   out_proj_.ForwardInference(concat, out);
 }
 
-Tensor MultiHeadSelfAttention::Backward(const Tensor& dy) {
+Tensor MultiHeadSelfAttention::Backward(const AttentionRecord& record,
+                                        const Tensor& dy) {
   const size_t n = dy.rows();
-  Tensor d_concat = out_proj_.Backward(dy);
+  Tensor d_concat = out_proj_.Backward(record.concat, dy);
 
   Tensor dq(n, dim_);
   Tensor dk(n, dim_);
@@ -360,7 +263,7 @@ Tensor MultiHeadSelfAttention::Backward(const Tensor& dy) {
 
   for (size_t h = 0; h < num_heads_; ++h) {
     const size_t off = h * head_dim_;
-    const Tensor& attn = attn_[h];
+    const Tensor& attn = record.attn[h];
 
     // dV_head[j] += Σ_i attn[i][j] · d_out[i];  d_attn[i][j] = d_out[i]·V[j].
     Tensor d_attn(n, n);
@@ -369,7 +272,7 @@ Tensor MultiHeadSelfAttention::Backward(const Tensor& dy) {
       const float* arow = attn.row_data(i);
       float* darow = d_attn.row_data(i);
       for (size_t j = 0; j < n; ++j) {
-        const float* vj = v_.row_data(j) + off;
+        const float* vj = record.v.row_data(j) + off;
         float dot = 0.0f;
         for (size_t c = 0; c < head_dim_; ++c) dot += doi[c] * vj[c];
         darow[j] = dot;
@@ -393,12 +296,12 @@ Tensor MultiHeadSelfAttention::Backward(const Tensor& dy) {
     // Scores backward: dq_i += Σ_j ds[i][j]·k_j·scale; dk_j += Σ_i ds·q_i.
     for (size_t i = 0; i < n; ++i) {
       const float* dsrow = d_attn.row_data(i);
-      const float* qi = q_.row_data(i) + off;
+      const float* qi = record.q.row_data(i) + off;
       float* dqi = dq.row_data(i) + off;
       for (size_t j = 0; j < n; ++j) {
         const float ds = dsrow[j] * scale;
         if (ds == 0.0f) continue;
-        const float* kj = k_.row_data(j) + off;
+        const float* kj = record.k.row_data(j) + off;
         float* dkj = dk.row_data(j) + off;
         for (size_t c = 0; c < head_dim_; ++c) {
           dqi[c] += ds * kj[c];
@@ -408,9 +311,9 @@ Tensor MultiHeadSelfAttention::Backward(const Tensor& dy) {
     }
   }
 
-  Tensor dx = q_proj_.Backward(dq);
-  dx.Add(k_proj_.Backward(dk));
-  dx.Add(v_proj_.Backward(dv));
+  Tensor dx = q_proj_.Backward(record.x, dq);
+  dx.Add(k_proj_.Backward(record.x, dk));
+  dx.Add(v_proj_.Backward(record.x, dv));
   return dx;
 }
 
@@ -431,29 +334,21 @@ TransformerLayer::TransformerLayer(size_t dim, size_t num_heads,
       ffn1_(dim, ffn_dim, rng),
       ffn2_(ffn_dim, dim, rng) {}
 
-Tensor TransformerLayer::Forward(const Tensor& x,
-                                 const std::vector<bool>& mask) {
-  Tensor h = x;
-  h.Add(attn_.Forward(ln1_.Forward(x), mask));
-  Tensor out = h;
-  out.Add(ffn2_.Forward(gelu_.Forward(ffn1_.Forward(ln2_.Forward(h)))));
-  return out;
-}
-
 void TransformerLayer::ForwardInference(const Tensor& x,
                                         const std::vector<bool>& mask,
-                                        InferenceArena& arena,
-                                        Tensor& out) const {
+                                        InferenceArena& arena, Tensor& out,
+                                        TransformerLayerRecord* record) const {
   Tensor& ln1_out = arena.Get(x.rows(), x.cols());
-  ln1_.ForwardInference(x, ln1_out);
+  ln1_.ForwardInference(x, ln1_out, record ? &record->ln1 : nullptr);
   Tensor& attn_out = arena.Get(x.rows(), x.cols());
-  attn_.ForwardInference(ln1_out, mask, arena, attn_out);
+  attn_.ForwardInference(ln1_out, mask, arena, attn_out,
+                         record ? &record->attn : nullptr);
   Tensor& h = arena.Get(x.rows(), x.cols());
   h = x;
   h.Add(attn_out);
 
   Tensor& ln2_out = arena.Get(h.rows(), h.cols());
-  ln2_.ForwardInference(h, ln2_out);
+  ln2_.ForwardInference(h, ln2_out, record ? &record->ln2 : nullptr);
   Tensor& ffn1_out = arena.Get(1, 1);
   ffn1_.ForwardInference(ln2_out, ffn1_out);
   Tensor& gelu_out = arena.Get(1, 1);
@@ -462,16 +357,25 @@ void TransformerLayer::ForwardInference(const Tensor& x,
   ffn2_.ForwardInference(gelu_out, ffn2_out);
   out = h;
   out.Add(ffn2_out);
+  if (record != nullptr) {
+    record->ln2_out = ln2_out;
+    record->ffn1_out = ffn1_out;
+    record->gelu_out = gelu_out;
+  }
 }
 
-Tensor TransformerLayer::Backward(const Tensor& dy) {
+Tensor TransformerLayer::Backward(const TransformerLayerRecord& record,
+                                  const Tensor& dy) {
   // FFN residual branch.
   Tensor d_ffn = ln2_.Backward(
-      ffn1_.Backward(gelu_.Backward(ffn2_.Backward(dy))));
+      record.ln2,
+      ffn1_.Backward(record.ln2_out,
+                     Gelu::Backward(record.ffn1_out,
+                                    ffn2_.Backward(record.gelu_out, dy))));
   Tensor dh = dy;
   dh.Add(d_ffn);
   // Attention residual branch.
-  Tensor d_attn = ln1_.Backward(attn_.Backward(dh));
+  Tensor d_attn = ln1_.Backward(record.ln1, attn_.Backward(record.attn, dh));
   Tensor dx = dh;
   dx.Add(d_attn);
   return dx;

@@ -20,7 +20,7 @@ struct Param {
   void ZeroGrad() { grad.Zero(); }
 };
 
-// Caller-provided activation workspace for the const inference forwards.
+// Caller-provided activation workspace for the const forwards.
 // Get() hands out zeroed, reusable tensor slots; Reset() recycles them all
 // without freeing. Slots live in a deque so references stay valid as more
 // are acquired. One arena per thread — the layers themselves stay untouched,
@@ -40,20 +40,21 @@ class InferenceArena {
   size_t next_ = 0;
 };
 
-// Affine map y = x·W + b. Caches x for the backward pass, so one instance
-// handles one forward/backward pair at a time (sequential SGD over samples).
+// Each layer has one forward, the const ForwardInference, shared by serving
+// and training. Training passes an activation record that the forward fills
+// with what Backward reads; Backward of Linear, Gelu and Embedding takes the
+// forward input instead. Layers hold parameters, never activations.
+
+// Affine map y = x·W + b.
 class Linear {
  public:
   Linear() = default;
   Linear(size_t in, size_t out, Rng& rng);
 
-  Tensor Forward(const Tensor& x);
-  // Accumulates parameter grads; returns dL/dx.
-  Tensor Backward(const Tensor& dy);
-
-  // Scratch-free inference: writes y = x·W + b into the caller's output
-  // without touching the backward cache. Bit-identical to Forward().
+  // Writes y = x·W + b into the caller's output.
   void ForwardInference(const Tensor& x, Tensor& y) const;
+  // Accumulates parameter grads for the forward input `x`; returns dL/dx.
+  Tensor Backward(const Tensor& x, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);
 
@@ -63,26 +64,29 @@ class Linear {
  private:
   Param w_;  // in×out
   Param b_;  // 1×out
-  Tensor x_;
 };
 
-// Learned token/position embedding lookup.
+// Learned token/position embedding table (TransformerEncoder::Embed reads).
 class Embedding {
  public:
   Embedding() = default;
   Embedding(size_t vocab, size_t dim, Rng& rng);
 
-  Tensor Forward(const std::vector<int>& ids);
-  void Backward(const Tensor& dy);
+  // Adds row i of dy into the gradient of table row ids[i].
+  void Backward(const std::vector<int>& ids, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);
 
-  size_t vocab_size() const { return table_.value.rows(); }
   const Tensor& table() const { return table_.value; }
 
  private:
   Param table_;  // vocab×dim
-  std::vector<int> ids_;
+};
+
+// What LayerNorm::Backward reads: the normalized input and 1/σ per row.
+struct LayerNormRecord {
+  Tensor xhat;
+  std::vector<float> rstd;
 };
 
 // Layer normalization over the feature dimension with learned gain/bias.
@@ -91,35 +95,31 @@ class LayerNorm {
   LayerNorm() = default;
   explicit LayerNorm(size_t dim);
 
-  Tensor Forward(const Tensor& x);
-  Tensor Backward(const Tensor& dy);
-
-  // Scratch-free inference twin of Forward() (no xhat/rstd caching).
-  void ForwardInference(const Tensor& x, Tensor& y) const;
+  void ForwardInference(const Tensor& x, Tensor& y,
+                        LayerNormRecord* record = nullptr) const;
+  Tensor Backward(const LayerNormRecord& record, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);
-
-  const Tensor& gamma() const { return gamma_.value; }
-  const Tensor& beta() const { return beta_.value; }
 
  private:
   Param gamma_;  // 1×dim
   Param beta_;   // 1×dim
-  Tensor xhat_;
-  std::vector<float> rstd_;
 };
 
-// GELU activation (tanh approximation) with cached input.
+// GELU activation (tanh approximation). Stateless.
 class Gelu {
  public:
-  Tensor Forward(const Tensor& x);
-  Tensor Backward(const Tensor& dy);
-
-  // Scratch-free inference twin of Forward().
   static void ForwardInference(const Tensor& x, Tensor& y);
+  // dL/dx for the forward input `x`.
+  static Tensor Backward(const Tensor& x, const Tensor& dy);
+};
 
- private:
-  Tensor x_;
+// What MultiHeadSelfAttention::Backward reads.
+struct AttentionRecord {
+  Tensor x;                  // input of the q/k/v projections
+  Tensor q, k, v;
+  std::vector<Tensor> attn;  // per-head n×n softmax weights
+  Tensor concat;             // input of the output projection
 };
 
 // Multi-head scaled-dot-product self-attention with padding mask.
@@ -130,13 +130,11 @@ class MultiHeadSelfAttention {
 
   // mask[i] == true means position i is a real token; padded positions are
   // excluded as keys (they still produce outputs which downstream ignores).
-  Tensor Forward(const Tensor& x, const std::vector<bool>& mask);
-  Tensor Backward(const Tensor& dy);
-
-  // Scratch-free inference twin of Forward(); intermediate activations come
-  // from `arena`, the result lands in `out`.
+  // Intermediate activations come from `arena`, the result lands in `out`.
   void ForwardInference(const Tensor& x, const std::vector<bool>& mask,
-                        InferenceArena& arena, Tensor& out) const;
+                        InferenceArena& arena, Tensor& out,
+                        AttentionRecord* record = nullptr) const;
+  Tensor Backward(const AttentionRecord& record, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);
 
@@ -152,11 +150,15 @@ class MultiHeadSelfAttention {
   size_t num_heads_ = 0;
   size_t head_dim_ = 0;
   Linear q_proj_, k_proj_, v_proj_, out_proj_;
+};
 
-  // Forward caches.
-  Tensor q_, k_, v_;
-  std::vector<Tensor> attn_;  // per-head n×n softmax weights
-  std::vector<bool> mask_;
+// What TransformerLayer::Backward reads.
+struct TransformerLayerRecord {
+  LayerNormRecord ln1, ln2;
+  AttentionRecord attn;
+  Tensor ln2_out;   // input of ffn1
+  Tensor ffn1_out;  // input of GELU
+  Tensor gelu_out;  // input of ffn2
 };
 
 // One pre-LayerNorm transformer encoder block:
@@ -166,12 +168,10 @@ class TransformerLayer {
   TransformerLayer() = default;
   TransformerLayer(size_t dim, size_t num_heads, size_t ffn_dim, Rng& rng);
 
-  Tensor Forward(const Tensor& x, const std::vector<bool>& mask);
-  Tensor Backward(const Tensor& dy);
-
-  // Scratch-free inference twin of Forward().
   void ForwardInference(const Tensor& x, const std::vector<bool>& mask,
-                        InferenceArena& arena, Tensor& out) const;
+                        InferenceArena& arena, Tensor& out,
+                        TransformerLayerRecord* record = nullptr) const;
+  Tensor Backward(const TransformerLayerRecord& record, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);
 
@@ -185,7 +185,6 @@ class TransformerLayer {
   LayerNorm ln1_, ln2_;
   MultiHeadSelfAttention attn_;
   Linear ffn1_, ffn2_;
-  Gelu gelu_;
 };
 
 }  // namespace lshap

@@ -72,33 +72,6 @@ void QuantizedLinearForward(const QuantizedLinear& lin, const Tensor& x,
   }
 }
 
-// ----------------------------------------------------- QuantizedLayerNorm
-
-void QuantizedLayerNorm::Forward(const Tensor& x, Tensor& y) const {
-  const size_t n = x.rows();
-  const size_t d = x.cols();
-  y.Resize(n, d);
-  const float* g = gamma.row_data(0);
-  const float* b = beta.row_data(0);
-  for (size_t r = 0; r < n; ++r) {
-    const float* row = x.row_data(r);
-    float mean = 0.0f;
-    for (size_t c = 0; c < d; ++c) mean += row[c];
-    mean /= static_cast<float>(d);
-    float var = 0.0f;
-    for (size_t c = 0; c < d; ++c) {
-      const float diff = row[c] - mean;
-      var += diff * diff;
-    }
-    var /= static_cast<float>(d);
-    const float rstd = 1.0f / std::sqrt(var + 1e-5f);
-    float* out = y.row_data(r);
-    for (size_t c = 0; c < d; ++c) {
-      out[c] = (row[c] - mean) * rstd * g[c] + b[c];
-    }
-  }
-}
-
 // ----------------------------------------------- QuantizedTransformerLayer
 
 void QuantizedTransformerLayer::Forward(const Tensor& x,
@@ -111,7 +84,7 @@ void QuantizedTransformerLayer::Forward(const Tensor& x,
   InferenceArena& arena = scratch.arena;
 
   Tensor& ln1_out = arena.Get(n, dim);
-  ln1.Forward(x, ln1_out);
+  ln1.ForwardInference(x, ln1_out);
 
   // One row quantization feeds all three projections.
   Tensor& q = arena.Get(n, dim);
@@ -168,7 +141,7 @@ void QuantizedTransformerLayer::Forward(const Tensor& x,
   h.Add(attn_out);
 
   Tensor& ln2_out = arena.Get(n, dim);
-  ln2.Forward(h, ln2_out);
+  ln2.ForwardInference(h, ln2_out);
   Tensor& ffn1_out = arena.Get(1, 1);
   QuantizedLinearForward(ffn1, ln2_out, scratch, ffn1_out);
   kernels.gelu(ffn1_out.data(), ffn1_out.size());
@@ -185,16 +158,13 @@ QuantizedEncoder QuantizedEncoder::FromEncoder(const TransformerEncoder& enc) {
   q.config_ = enc.config();
   q.tok_table_ = enc.tok_emb().table();
   q.pos_table_ = enc.pos_emb().table();
-  q.final_ln_.gamma = enc.final_ln().gamma();
-  q.final_ln_.beta = enc.final_ln().beta();
+  q.final_ln_ = enc.final_ln();
   q.layers_.resize(enc.layers().size());
   for (size_t l = 0; l < enc.layers().size(); ++l) {
     const TransformerLayer& src = enc.layers()[l];
     QuantizedTransformerLayer& dst = q.layers_[l];
-    dst.ln1.gamma = src.ln1().gamma();
-    dst.ln1.beta = src.ln1().beta();
-    dst.ln2.gamma = src.ln2().gamma();
-    dst.ln2.beta = src.ln2().beta();
+    dst.ln1 = src.ln1();
+    dst.ln2 = src.ln2();
     dst.num_heads = src.attn().num_heads();
     dst.head_dim = src.attn().head_dim();
     dst.q_proj = QuantizedLinear::FromFloat(src.attn().q_proj().w().value,
@@ -216,26 +186,19 @@ QuantizedEncoder QuantizedEncoder::FromEncoder(const TransformerEncoder& enc) {
 void QuantizedEncoder::Forward(const std::vector<int>& ids,
                                const std::vector<bool>& mask,
                                QuantScratch& scratch, Tensor& out) const {
-  LSHAP_CHECK_LE(ids.size(), config_.max_len);
   LSHAP_CHECK_EQ(ids.size(), mask.size());
   const size_t n = ids.size();
   const size_t dim = config_.dim;
   InferenceArena& arena = scratch.arena;
   Tensor& h0 = arena.Get(n, dim);
-  for (size_t i = 0; i < n; ++i) {
-    LSHAP_CHECK_LT(static_cast<size_t>(ids[i]), tok_table_.rows());
-    const float* src = tok_table_.row_data(static_cast<size_t>(ids[i]));
-    const float* prow = pos_table_.row_data(i);
-    float* dst = h0.row_data(i);
-    for (size_t c = 0; c < dim; ++c) dst[c] = src[c] + prow[c];
-  }
+  TransformerEncoder::Embed(tok_table_, pos_table_, ids, h0);
   const Tensor* cur = &h0;
   for (const auto& layer : layers_) {
     Tensor& next = arena.Get(n, dim);
     layer.Forward(*cur, mask, scratch, next);
     cur = &next;
   }
-  final_ln_.Forward(*cur, out);
+  final_ln_.ForwardInference(*cur, out);
 }
 
 std::vector<const QuantizedLinear*> QuantizedEncoder::AllLinears() const {

@@ -75,14 +75,8 @@ struct QuantScratch {
 void QuantizedLinearForward(const QuantizedLinear& lin, const Tensor& x,
                             QuantScratch& scratch, Tensor& y);
 
-struct QuantizedLayerNorm {
-  Tensor gamma;  // 1×dim
-  Tensor beta;   // 1×dim
-  void Forward(const Tensor& x, Tensor& y) const;
-};
-
 struct QuantizedTransformerLayer {
-  QuantizedLayerNorm ln1, ln2;
+  LayerNorm ln1, ln2;  // the float encoder's, run as is
   QuantizedLinear q_proj, k_proj, v_proj, out_proj;
   QuantizedLinear ffn1, ffn2;
   size_t num_heads = 0;
@@ -92,8 +86,8 @@ struct QuantizedTransformerLayer {
                QuantScratch& scratch, Tensor& out) const;
 };
 
-// The full quantized MiniBERT: float embeddings + LayerNorms, int8 affine
-// layers, SIMD softmax/GELU.
+// The full quantized MiniBERT: the float encoder's embedding lookup and
+// LayerNorms, int8 affine layers, SIMD softmax/GELU.
 class QuantizedEncoder {
  public:
   QuantizedEncoder() = default;
@@ -118,7 +112,7 @@ class QuantizedEncoder {
   Tensor tok_table_;  // vocab×dim
   Tensor pos_table_;  // max_len×dim
   std::vector<QuantizedTransformerLayer> layers_;
-  QuantizedLayerNorm final_ln_;
+  LayerNorm final_ln_;
 };
 
 }  // namespace lshap

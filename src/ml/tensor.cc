@@ -24,16 +24,6 @@ void Tensor::AddScaled(const Tensor& other, float scale) {
   }
 }
 
-void Tensor::Scale(float s) {
-  for (float& v : data_) v *= s;
-}
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  Tensor c;
-  MatMulInto(a, b, c);
-  return c;
-}
-
 void MatMulInto(const Tensor& a, const Tensor& b, Tensor& c) {
   LSHAP_CHECK_EQ(a.cols(), b.rows());
   c.Resize(a.rows(), b.cols());

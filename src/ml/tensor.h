@@ -52,7 +52,6 @@ class Tensor {
   void Add(const Tensor& other);
   // this += scale * other.
   void AddScaled(const Tensor& other, float scale);
-  void Scale(float s);
 
  private:
   size_t rows_ = 0;
@@ -60,10 +59,8 @@ class Tensor {
   std::vector<float> data_;
 };
 
-// C = A · B. Shapes: (n×k)·(k×m) → (n×m).
-Tensor MatMul(const Tensor& a, const Tensor& b);
-// C = A · B into a caller-owned output (resized and zeroed here). MatMul is
-// implemented on top of this, so the two produce bit-identical results.
+// C = A · B into a caller-owned output (resized and zeroed here). Shapes:
+// (n×k)·(k×m) → (n×m).
 void MatMulInto(const Tensor& a, const Tensor& b, Tensor& c);
 // C = Aᵀ · B. Shapes: (k×n)ᵀ·(k×m) → (n×m).
 Tensor MatMulATB(const Tensor& a, const Tensor& b);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <thread>
 
@@ -245,6 +246,29 @@ TEST_F(CorpusStreamTest, StreamTrainerOneShardRoundTripTrainsIdentically) {
   const EvalSummary b =
       EvaluateScorer(corpus_, corpus_.test_idx, *loaded->ranker, {}, pool_);
   EXPECT_DOUBLE_EQ(a.ndcg10, b.ndcg10);
+}
+
+// Pre-training and fine-tuning on the fixture's 4-thread pool: the dev-MSE
+// workers share one const model, and each training worker runs its steps
+// through its own activation record. TSan checks this in tools/check.sh.
+TEST_F(CorpusStreamTest, StreamTrainerPretrainsOnSeveralThreads) {
+  const SimilarityMatrices sims =
+      ComputeSimilarityMatrices(corpus_, 16, pool_);
+  TrainConfig cfg;
+  cfg.model_size = TrainConfig::ModelSize::kSmallAblation;
+  cfg.pretrain_epochs = 1;
+  cfg.pretrain_pairs_per_epoch = 48;
+  cfg.finetune_epochs = 1;
+  cfg.finetune_samples_per_epoch = 48;
+  cfg.batch_size = 16;
+  cfg.seed = 6;
+
+  InMemoryCorpusStream stream(corpus_);
+  auto result = TrainLearnShapleyStream(stream, &sims, cfg, pool_);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_NE(result->ranker, nullptr);
+  EXPECT_TRUE(std::isfinite(result->pretrain_dev_mse));
+  EXPECT_GT(result->pretrain_dev_mse, 0.0);  // the dev pairs were scored
 }
 
 TEST_F(CorpusStreamTest, StreamTrainerRejectsBadTrainSubset) {

@@ -20,7 +20,8 @@ TEST(TensorTest, MatMulKnownValues) {
   for (size_t i = 0; i < a.size(); ++i) a.data()[i] = av++;
   float bv = 1.0f;
   for (size_t i = 0; i < b.size(); ++i) b.data()[i] = bv++;
-  const Tensor c = MatMul(a, b);
+  Tensor c;
+  MatMulInto(a, b, c);
   // a = [[1,2,3],[4,5,6]], b = [[1,2],[3,4],[5,6]]
   EXPECT_FLOAT_EQ(c.at(0, 0), 22.0f);
   EXPECT_FLOAT_EQ(c.at(0, 1), 28.0f);
@@ -91,16 +92,51 @@ void CheckParamGradients(std::vector<Param*> params, const ForwardFn& forward,
   }
 }
 
+// One record-free forward of each layer, as the finite differences need.
+Tensor LinearOut(const Linear& lin, const Tensor& x) {
+  Tensor y;
+  lin.ForwardInference(x, y);
+  return y;
+}
+
+Tensor LayerNormOut(const LayerNorm& ln, const Tensor& x) {
+  Tensor y;
+  ln.ForwardInference(x, y);
+  return y;
+}
+
+Tensor GeluOut(const Tensor& x) {
+  Tensor y;
+  Gelu::ForwardInference(x, y);
+  return y;
+}
+
+Tensor AttentionOut(const MultiHeadSelfAttention& attn, const Tensor& x,
+                    const std::vector<bool>& mask) {
+  InferenceArena arena;
+  Tensor y;
+  attn.ForwardInference(x, mask, arena, y);
+  return y;
+}
+
+Tensor EncoderOut(const TransformerEncoder& enc, const std::vector<int>& ids,
+                  const std::vector<bool>& mask) {
+  InferenceArena arena;
+  Tensor y;
+  enc.ForwardInference(ids, mask, arena, y);
+  return y;
+}
+
 TEST(GradientCheck, Linear) {
   Rng rng(1);
   Linear lin(5, 4, rng);
   const Tensor x = Tensor::Randn(3, 5, 1.0f, rng);
   const Tensor coeff = Tensor::Randn(3, 4, 1.0f, rng);
-  lin.Forward(x);
-  lin.Backward(coeff);
+  lin.Backward(x, coeff);
   std::vector<Param*> params;
   lin.CollectParams(params);
-  CheckParamGradients(params, [&] { return lin.Forward(x); }, coeff, 2e-2f);
+  CheckParamGradients(params, [&] { return LinearOut(lin, x); }, coeff,
+                      2e-2f);
 }
 
 TEST(GradientCheck, LinearInputGradient) {
@@ -108,15 +144,14 @@ TEST(GradientCheck, LinearInputGradient) {
   Linear lin(4, 3, rng);
   Tensor x = Tensor::Randn(2, 4, 1.0f, rng);
   const Tensor coeff = Tensor::Randn(2, 3, 1.0f, rng);
-  lin.Forward(x);
-  const Tensor dx = lin.Backward(coeff);
+  const Tensor dx = lin.Backward(x, coeff);
   const float eps = 1e-3f;
   for (size_t i = 0; i < x.size(); ++i) {
     const float orig = x.data()[i];
     x.data()[i] = orig + eps;
-    const float up = WeightedSum(lin.Forward(x), coeff);
+    const float up = WeightedSum(LinearOut(lin, x), coeff);
     x.data()[i] = orig - eps;
-    const float down = WeightedSum(lin.Forward(x), coeff);
+    const float down = WeightedSum(LinearOut(lin, x), coeff);
     x.data()[i] = orig;
     EXPECT_NEAR(dx.data()[i], (up - down) / (2 * eps), 2e-2f);
   }
@@ -127,11 +162,14 @@ TEST(GradientCheck, LayerNorm) {
   LayerNorm ln(6);
   const Tensor x = Tensor::Randn(4, 6, 1.0f, rng);
   const Tensor coeff = Tensor::Randn(4, 6, 1.0f, rng);
-  ln.Forward(x);
-  ln.Backward(coeff);
+  LayerNormRecord record;
+  Tensor y;
+  ln.ForwardInference(x, y, &record);
+  ln.Backward(record, coeff);
   std::vector<Param*> params;
   ln.CollectParams(params);
-  CheckParamGradients(params, [&] { return ln.Forward(x); }, coeff, 2e-2f);
+  CheckParamGradients(params, [&] { return LayerNormOut(ln, x); }, coeff,
+                      2e-2f);
 }
 
 TEST(GradientCheck, LayerNormInputGradient) {
@@ -139,15 +177,17 @@ TEST(GradientCheck, LayerNormInputGradient) {
   LayerNorm ln(5);
   Tensor x = Tensor::Randn(2, 5, 1.0f, rng);
   const Tensor coeff = Tensor::Randn(2, 5, 1.0f, rng);
-  ln.Forward(x);
-  const Tensor dx = ln.Backward(coeff);
+  LayerNormRecord record;
+  Tensor y;
+  ln.ForwardInference(x, y, &record);
+  const Tensor dx = ln.Backward(record, coeff);
   const float eps = 1e-3f;
   for (size_t i = 0; i < x.size(); ++i) {
     const float orig = x.data()[i];
     x.data()[i] = orig + eps;
-    const float up = WeightedSum(ln.Forward(x), coeff);
+    const float up = WeightedSum(LayerNormOut(ln, x), coeff);
     x.data()[i] = orig - eps;
-    const float down = WeightedSum(ln.Forward(x), coeff);
+    const float down = WeightedSum(LayerNormOut(ln, x), coeff);
     x.data()[i] = orig;
     EXPECT_NEAR(dx.data()[i], (up - down) / (2 * eps), 3e-2f);
   }
@@ -155,18 +195,16 @@ TEST(GradientCheck, LayerNormInputGradient) {
 
 TEST(GradientCheck, Gelu) {
   Rng rng(5);
-  Gelu gelu;
   Tensor x = Tensor::Randn(3, 4, 1.0f, rng);
   const Tensor coeff = Tensor::Randn(3, 4, 1.0f, rng);
-  gelu.Forward(x);
-  const Tensor dx = gelu.Backward(coeff);
+  const Tensor dx = Gelu::Backward(x, coeff);
   const float eps = 1e-3f;
   for (size_t i = 0; i < x.size(); ++i) {
     const float orig = x.data()[i];
     x.data()[i] = orig + eps;
-    const float up = WeightedSum(gelu.Forward(x), coeff);
+    const float up = WeightedSum(GeluOut(x), coeff);
     x.data()[i] = orig - eps;
-    const float down = WeightedSum(gelu.Forward(x), coeff);
+    const float down = WeightedSum(GeluOut(x), coeff);
     x.data()[i] = orig;
     EXPECT_NEAR(dx.data()[i], (up - down) / (2 * eps), 2e-2f);
   }
@@ -178,12 +216,15 @@ TEST(GradientCheck, MultiHeadAttention) {
   const Tensor x = Tensor::Randn(5, 8, 0.5f, rng);
   const std::vector<bool> mask(5, true);
   const Tensor coeff = Tensor::Randn(5, 8, 1.0f, rng);
-  attn.Forward(x, mask);
-  attn.Backward(coeff);
+  InferenceArena arena;
+  AttentionRecord record;
+  Tensor y;
+  attn.ForwardInference(x, mask, arena, y, &record);
+  attn.Backward(record, coeff);
   std::vector<Param*> params;
   attn.CollectParams(params);
-  CheckParamGradients(params, [&] { return attn.Forward(x, mask); }, coeff,
-                      3e-2f);
+  CheckParamGradients(params, [&] { return AttentionOut(attn, x, mask); },
+                      coeff, 3e-2f);
 }
 
 TEST(GradientCheck, FullEncoder) {
@@ -200,9 +241,12 @@ TEST(GradientCheck, FullEncoder) {
   const std::vector<bool> mask(5, true);
   Rng rng(8);
   const Tensor coeff = Tensor::Randn(5, 8, 1.0f, rng);
-  enc.Forward(ids, mask);
-  enc.Backward(coeff);
-  CheckParamGradients(enc.Params(), [&] { return enc.Forward(ids, mask); },
+  InferenceArena arena;
+  EncoderRecord record;
+  Tensor y;
+  enc.ForwardInference(ids, mask, arena, y, &record);
+  enc.Backward(record, coeff);
+  CheckParamGradients(enc.Params(), [&] { return EncoderOut(enc, ids, mask); },
                       coeff, 4e-2f);
 }
 
@@ -211,10 +255,10 @@ TEST(AttentionTest, PaddingMaskExcludesKeys) {
   MultiHeadSelfAttention attn(8, 2, rng);
   Tensor x = Tensor::Randn(4, 8, 0.5f, rng);
   std::vector<bool> mask = {true, true, true, false};
-  const Tensor out_masked = attn.Forward(x, mask);
+  const Tensor out_masked = AttentionOut(attn, x, mask);
   // Changing the masked position's content must not affect other outputs.
   for (size_t c = 0; c < 8; ++c) x.at(3, c) += 10.0f;
-  const Tensor out_changed = attn.Forward(x, mask);
+  const Tensor out_changed = AttentionOut(attn, x, mask);
   for (size_t r = 0; r < 3; ++r) {
     for (size_t c = 0; c < 8; ++c) {
       EXPECT_NEAR(out_masked.at(r, c), out_changed.at(r, c), 1e-5);
@@ -238,8 +282,9 @@ TEST(AdamTest, LearnsLinearRegression) {
   float last_loss = 0.0f;
   for (int step = 0; step < 300; ++step) {
     const Tensor x = Tensor::Randn(8, 3, 1.0f, rng);
-    const Tensor target = MatMul(x, w_star);
-    const Tensor pred = model.Forward(x);
+    Tensor target;
+    MatMulInto(x, w_star, target);
+    const Tensor pred = LinearOut(model, x);
     Tensor d(8, 1);
     last_loss = 0.0f;
     for (size_t i = 0; i < 8; ++i) {
@@ -247,7 +292,7 @@ TEST(AdamTest, LearnsLinearRegression) {
       d.at(i, 0) = 2.0f * err / 8.0f;
       last_loss += err * err / 8.0f;
     }
-    model.Backward(d);
+    model.Backward(x, d);
     opt.Step();
   }
   EXPECT_LT(last_loss, 1e-3f);

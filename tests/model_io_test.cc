@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/fileio.h"
 #include "corpus/corpus.h"
@@ -40,12 +42,70 @@ class ModelIoTest : public ::testing::Test {
     return TrainLearnShapley(corpus_, sims_, cfg, pool_);
   }
 
+  // Saves a quick-trained ranker to path_, applies `edit` to the file's
+  // text, and loads the result.
+  Result<std::unique_ptr<LearnShapleyRanker>> LoadEdited(
+      const std::function<void(std::string&)>& edit) {
+    TrainResult trained = QuickTrain();
+    EXPECT_TRUE(SaveRanker(*trained.ranker, path_).ok());
+    std::string text;
+    {
+      std::ifstream in(path_);
+      std::stringstream ss;
+      ss << in.rdbuf();
+      text = ss.str();
+    }
+    edit(text);
+    {
+      std::ofstream out(path_);
+      out << text;
+    }
+    return LoadRanker(path_);
+  }
+
   GeneratedDb data_;
   ThreadPool pool_;
   Corpus corpus_;
   SimilarityMatrices sims_;
   std::string path_;
 };
+
+// Offset of the line after the first line that starts with `key`.
+size_t LineAfter(const std::string& text, const std::string& key) {
+  const size_t at = text.find("\n" + key + " ");
+  EXPECT_NE(at, std::string::npos) << key;
+  return text.find('\n', at + 1) + 1;
+}
+
+// Replaces whitespace field `index` of the line starting at `begin`.
+void SetField(std::string& text, size_t begin, size_t index,
+              const std::string& value) {
+  const size_t end = text.find('\n', begin);
+  std::istringstream ls(text.substr(begin, end - begin));
+  std::vector<std::string> fields;
+  for (std::string f; ls >> f;) fields.push_back(f);
+  ASSERT_LT(index, fields.size());
+  fields[index] = value;
+  std::string line = fields[0];
+  for (size_t i = 1; i < fields.size(); ++i) line += " " + fields[i];
+  text.replace(begin, end - begin, line);
+}
+
+// Sets field `index` (0 is the key itself) of the line starting with `key`.
+void SetKeyField(std::string& text, const std::string& key, size_t index,
+                 const std::string& value) {
+  const size_t at = text.find("\n" + key + " ");
+  ASSERT_NE(at, std::string::npos) << key;
+  SetField(text, at + 1, index, value);
+}
+
+void ExpectInvalid(const Result<std::unique_ptr<LearnShapleyRanker>>& loaded,
+                   const std::string& message) {
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().ToString().find(message), std::string::npos)
+      << loaded.status().ToString();
+}
 
 TEST_F(ModelIoTest, SaveLoadPredictionsBitIdentical) {
   TrainResult trained = QuickTrain();
@@ -86,6 +146,46 @@ TEST_F(ModelIoTest, LoadRejectsGarbage) {
   }
   EXPECT_FALSE(LoadRanker(path_).ok());
   EXPECT_FALSE(LoadRanker(path_ + ".missing").ok());
+}
+
+// The config line is "config vocab max_len dim num_heads num_layers
+// ffn_dim seed". A corrupt value there must fail the load before any model
+// is built: zero heads used to divide by zero, an indivisible dim tripped a
+// CHECK.
+TEST_F(ModelIoTest, LoadRejectsZeroHeads) {
+  ExpectInvalid(LoadEdited([](std::string& text) {
+                  SetKeyField(text, "config", 4, "0");
+                }),
+                "num_heads must be at least 1");
+}
+
+TEST_F(ModelIoTest, LoadRejectsDimNotDivisibleByHeads) {
+  ExpectInvalid(LoadEdited([](std::string& text) {
+                  SetKeyField(text, "config", 4, "5");  // dim is 48
+                }),
+                "is not divisible by num_heads 5");
+}
+
+// A ranker max_len above the encoder's used to load and then abort on the
+// first long input.
+TEST_F(ModelIoTest, LoadRejectsRankerMaxLenOutsideEncoderRange) {
+  const size_t max_len = TrainConfig{}.max_len;
+  ExpectInvalid(LoadEdited([&](std::string& text) {
+                  SetKeyField(text, "ranker", 1, std::to_string(max_len + 1));
+                }),
+                "ranker max_len");
+  ExpectInvalid(LoadEdited([](std::string& text) {
+                  SetKeyField(text, "ranker", 1, "2");
+                }),
+                "ranker max_len 2 outside");
+}
+
+// A tensor value used to load silently as 0.
+TEST_F(ModelIoTest, LoadRejectsMalformedTensorValue) {
+  ExpectInvalid(LoadEdited([](std::string& text) {
+                  SetField(text, LineAfter(text, "tensors"), 2, "zz");
+                }),
+                "malformed tensor data value 'zz'");
 }
 
 TEST_F(ModelIoTest, SaveIsAtomicAndRecoversFromKilledWriter) {

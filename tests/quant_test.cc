@@ -3,8 +3,8 @@
 //  - KernelBitEquality: the AVX2 and scalar kernels are bit-equal on random
 //    shapes (this is what lets the AVX2-disabled CI leg certify the scalar
 //    fallback as the same function).
-//  - Float inference twins: the const arena-based ForwardInference path is
-//    bit-identical to the mutating training forward.
+//  - Float forward: the one const ForwardInference gives the same bits
+//    whether or not a training step passes an activation record.
 //  - QuantizedLinear: codes reconstruct the float weights within half a
 //    quantization step, and the int8 forward stays inside the analytic
 //    error bound of the scheme.
@@ -160,9 +160,9 @@ TEST(SimdExpApproxTest, TracksStdExpAndMasksToZero) {
   EXPECT_GT(SimdExpApprox(-80.0f), 0.0f);
 }
 
-// ---- Float inference twins ----
+// ---- Float forward with and without an activation record ----
 
-TEST(FloatInferenceTest, EncoderForwardInferenceIsBitIdentical) {
+TEST(FloatInferenceTest, ForwardIsBitIdenticalWithAndWithoutRecord) {
   EncoderConfig cfg;
   cfg.vocab_size = 40;
   cfg.max_len = 12;
@@ -171,48 +171,59 @@ TEST(FloatInferenceTest, EncoderForwardInferenceIsBitIdentical) {
   cfg.num_layers = 2;
   cfg.ffn_dim = 32;
   cfg.seed = 21;
-  TransformerEncoder enc(cfg);
+  LearnShapleyModel model(cfg, 21);
+  const TransformerEncoder& enc = model.encoder();
   Rng rng(22);
   InferenceArena arena;
   for (int trial = 0; trial < 5; ++trial) {
     const size_t len = 3 + rng.NextBounded(9);
-    std::vector<int> ids;
-    ids.push_back(Vocab::kCls);
+    EncodedPair input;
+    input.ids.push_back(Vocab::kCls);
     for (size_t i = 1; i < len; ++i) {
-      ids.push_back(static_cast<int>(
+      input.ids.push_back(static_cast<int>(
           Vocab::kNumSpecial +
           rng.NextBounded(cfg.vocab_size - Vocab::kNumSpecial)));
     }
-    const std::vector<bool> mask(len, true);
-    const Tensor want = enc.Forward(ids, mask);
-    arena.Reset();
-    Tensor got;
-    enc.ForwardInference(ids, mask, arena, got);
-    ASSERT_EQ(got.rows(), want.rows());
-    ASSERT_EQ(got.cols(), want.cols());
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got.data()[i], want.data()[i]) << "trial " << trial;
-    }
-  }
-}
+    // Trial 0 masks its last key, so the masked-softmax branch is covered.
+    input.mask.assign(len, true);
+    if (trial == 0) input.mask.back() = false;
 
-TEST(FloatInferenceTest, ModelPredictShapleyTwinsAgreeExactly) {
-  EncoderConfig cfg;
-  cfg.vocab_size = 30;
-  cfg.max_len = 16;
-  cfg.dim = 16;
-  cfg.num_heads = 2;
-  cfg.num_layers = 1;
-  cfg.ffn_dim = 32;
-  cfg.seed = 31;
-  LearnShapleyModel model(cfg, 31);
-  InferenceArena arena;
-  EncodedPair input;
-  input.ids = {Vocab::kCls, 7, 9, Vocab::kSep, 11, 6, Vocab::kSep, 8};
-  input.mask.assign(input.ids.size(), true);
-  const float mutating = model.PredictShapley(input);
-  const float via_arena = model.PredictShapley(input, arena);
-  EXPECT_EQ(mutating, via_arena);
+    // Encoder: the recorded forward is the serving forward, bit for bit.
+    arena.Reset();
+    Tensor plain;
+    enc.ForwardInference(input.ids, input.mask, arena, plain);
+    InferenceArena record_arena;
+    EncoderRecord record;
+    Tensor recorded;
+    enc.ForwardInference(input.ids, input.mask, record_arena, recorded,
+                         &record);
+    ASSERT_EQ(recorded.rows(), plain.rows());
+    ASSERT_EQ(recorded.cols(), plain.cols());
+    for (size_t i = 0; i < plain.size(); ++i) {
+      EXPECT_EQ(recorded.data()[i], plain.data()[i]) << "trial " << trial;
+    }
+
+    // Model: a training step's loss is built from exactly the prediction
+    // serving returns. Steps only accumulate gradients, so the weights stay
+    // put across the calls below.
+    const float pred = model.PredictShapley(input, arena);
+    EXPECT_EQ(model.PredictShapley(input), pred);
+    const float target = 0.25f;
+    const float err = pred - target;
+    EXPECT_EQ(model.FinetuneStep(input, target), err * err);
+
+    const LearnShapleyModel::Similarities sims =
+        model.PredictSimilarities(input);
+    const float er = sims.rank - 0.5f;
+    const float ew = sims.witness - 0.25f;
+    const float es = sims.syntax - 0.75f;
+    float want = 0.0f;
+    want += er * er;
+    want += ew * ew;
+    want += es * es;
+    EXPECT_EQ(model.PretrainStep(input, 0.5, 0.25, 0.75, PretrainObjectives{}),
+              want);
+  }
 }
 
 // ---- QuantizedLinear ----

@@ -10,9 +10,10 @@
 #       (null_semantics_test), the budget/cancellation machinery
 #       (budget_test), the ThreadPool stress test (common_test), the
 #       sharded metrics registry (metrics_test), the corpus shard
-#       streaming layer — concurrent ReadShard + cursor prefetch
-#       (corpus_stream_test) — the ranking service: concurrent
-#       Submit/Rank with snapshot swaps under load (serving_test) — and
+#       streaming layer — concurrent ReadShard + cursor prefetch, and
+#       pre-training + fine-tuning on a 4-thread pool (corpus_stream_test)
+#       — the ranking service: concurrent Submit/Rank with snapshot swaps
+#       under load (serving_test) — and
 #       the shared const ranker scored from many threads in both float
 #       and int8 inference modes (quant_test).
 #   serve — plain build, then a short closed-loop bench_serve smoke run
