@@ -1,7 +1,8 @@
-// Builds a DBShap-style corpus over the synthetic IMDB database, saves it to
-// a text file (the redistributable artifact), reloads it, and verifies the
-// round trip — the workflow for sharing ground-truth corpora between runs
-// without recomputing Shapley values.
+// Builds a DBShap-style corpus over the synthetic IMDB database, saves it as
+// a packed binary corpus (a manifest plus shard files — the redistributable
+// artifact), reloads it, and verifies the round trip — the workflow for
+// sharing ground-truth corpora between runs without recomputing Shapley
+// values. `corpus_inspect <path>` dumps the saved files.
 #include <cstdio>
 
 #include "corpus/corpus.h"
@@ -11,7 +12,7 @@
 using namespace lshap;
 
 int main(int argc, char** argv) {
-  const std::string path = argc > 1 ? argv[1] : "/tmp/dbshap_imdb.lshap";
+  const std::string path = argc > 1 ? argv[1] : "/tmp/dbshap_imdb.lshapc";
 
   ThreadPool pool;
   GeneratedDb data = MakeImdbDatabase({});
@@ -29,14 +30,15 @@ int main(int argc, char** argv) {
   std::printf("  %zu queries, %zu (q,t,f,shapley) quartets\n",
               corpus.entries.size(), quartets);
 
-  Status s = SaveCorpus(corpus, path);
+  constexpr size_t kShards = 2;
+  Status s = SaveCorpusShards(corpus, path, kShards);
   if (!s.ok()) {
     std::printf("save failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("Saved to %s\n", path.c_str());
+  std::printf("Saved to %s (+ %zu shard files)\n", path.c_str(), kShards);
 
-  auto loaded = LoadCorpus(data.db.get(), path);
+  auto loaded = LoadCorpusShards(data.db.get(), path);
   if (!loaded.ok()) {
     std::printf("load failed: %s\n", loaded.status().ToString().c_str());
     return 1;

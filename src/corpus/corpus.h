@@ -228,8 +228,8 @@ Corpus BuildCorpus(const Database& db, const SchemaGraph& graph,
 // packed binary shard files at `path` (manifest plus one
 // `<path>.shardNNN` per shard) instead of materialising a resident Corpus.
 // Builder memory holds one entry at a time per shard; the written corpus
-// loads back (LoadCorpusShards / LoadCorpus auto-detect) identical to what
-// BuildCorpus returns for the same config. Returns the merged BuildStats.
+// loads back (LoadCorpusShards) identical to what BuildCorpus returns for
+// the same config. Returns the merged BuildStats.
 Result<BuildStats> BuildCorpusToShards(const Database& db,
                                        const SchemaGraph& graph,
                                        const CorpusConfig& config,

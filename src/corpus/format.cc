@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "common/fileio.h"
 #include "common/strings.h"
@@ -14,6 +15,11 @@ namespace {
 
 inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
+// The manifest header and every shard footer carry one Shapley
+// payload-encoding byte. Only f64 (0) exists; a reader rejects any other
+// value as an unknown encoding.
+inline constexpr uint8_t kShapleyPayloadF64 = 0;
 
 // Value tags inside packed tuples.
 enum ValueTag : uint8_t {
@@ -35,30 +41,12 @@ double BitsToDouble(uint64_t bits) {
   return d;
 }
 
-uint32_t FloatBits(float f) {
-  uint32_t bits;
-  std::memcpy(&bits, &f, sizeof(bits));
-  return bits;
-}
-
-float BitsToFloat(uint32_t bits) {
-  float f;
-  std::memcpy(&f, &bits, sizeof(f));
-  return f;
-}
-
 void PutString(std::string& out, std::string_view s) {
   PutVarint(out, s.size());
   out.append(s.data(), s.size());
 }
 
 void PutDouble(std::string& out, double d) { PutFixed64(out, DoubleBits(d)); }
-
-void PutFixed32(std::string& out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out.append(buf, 4);
-}
 
 void EncodeValue(const Value& v, std::string& out) {
   if (v.is_null()) {
@@ -80,11 +68,24 @@ void EncodeTuple(const OutputTuple& t, std::string& out) {
   for (const Value& v : t) EncodeValue(v, out);
 }
 
-// Sanity ceilings on decoded counts, so a corrupted length varint fails
-// with kInvalidArgument instead of a gigabyte allocation. Generously above
-// anything the builder produces.
-inline constexpr uint64_t kMaxArity = 1 << 10;
-inline constexpr uint64_t kMaxListLen = 1 << 26;
+// Minimum encoded sizes, for bounding decoded counts by the bytes left
+// (ByteReader::Backs): a budget trip is a site length and a count; a
+// contribution is at least a tuple arity and a lineage size; a lineage
+// fact is a delta varint plus its f64 value; a manifest ShardBuildStats is
+// seven varints, the f64 wall time and the trip count.
+inline constexpr size_t kMinTripBytes = 2;
+inline constexpr size_t kMinContribBytes = 2;
+inline constexpr size_t kMinLineageFactBytes = 1 + 8;
+inline constexpr size_t kMinShardStatsBytes = 7 + 8 + 1;
+
+// The error for a count that failed ByteReader::Backs: truncated if the
+// read itself failed, otherwise more elements than the bytes left can hold.
+Status BadCount(const char* what, uint64_t n, const ByteReader& r) {
+  if (!r.ok()) return Status::InvalidArgument(StrFormat("truncated %s", what));
+  return Status::InvalidArgument(
+      StrFormat("bad %s %llu: only %zu bytes remain", what,
+                static_cast<unsigned long long>(n), r.remaining()));
+}
 
 Result<Value> DecodeValue(ByteReader& r) {
   std::string_view tag = r.Bytes(1);
@@ -98,9 +99,7 @@ Result<Value> DecodeValue(ByteReader& r) {
       return Value(BitsToDouble(r.Fixed64()));
     case kValString: {
       uint64_t n = r.Varint();
-      if (!r.ok() || n > r.remaining()) {
-        return Status::InvalidArgument("truncated string value");
-      }
+      if (!r.Backs(n)) return BadCount("string value length", n, r);
       return Value(std::string(r.Bytes(static_cast<size_t>(n))));
     }
     default:
@@ -111,9 +110,7 @@ Result<Value> DecodeValue(ByteReader& r) {
 
 Result<OutputTuple> DecodeTuple(ByteReader& r) {
   const uint64_t arity = r.Varint();
-  if (!r.ok() || arity > kMaxArity) {
-    return Status::InvalidArgument("bad tuple arity");
-  }
+  if (!r.Backs(arity)) return BadCount("tuple arity", arity, r);
   OutputTuple t;
   t.reserve(static_cast<size_t>(arity));
   for (uint64_t i = 0; i < arity; ++i) {
@@ -137,14 +134,10 @@ void PutStatsMap(std::string& out,
 Result<std::map<std::string, size_t>> ReadStatsMap(ByteReader& r) {
   std::map<std::string, size_t> trips;
   const uint64_t n = r.Varint();
-  if (!r.ok() || n > kMaxListLen) {
-    return Status::InvalidArgument("bad budget-trip count");
-  }
+  if (!r.Backs(n, kMinTripBytes)) return BadCount("budget-trip count", n, r);
   for (uint64_t i = 0; i < n; ++i) {
     const uint64_t len = r.Varint();
-    if (!r.ok() || len > r.remaining()) {
-      return Status::InvalidArgument("truncated budget-trip site");
-    }
+    if (!r.Backs(len)) return BadCount("budget-trip site length", len, r);
     std::string site(r.Bytes(static_cast<size_t>(len)));
     const uint64_t count = r.Varint();
     if (!r.ok()) return Status::InvalidArgument("truncated budget-trip count");
@@ -156,9 +149,7 @@ Result<std::map<std::string, size_t>> ReadStatsMap(ByteReader& r) {
 Result<std::vector<size_t>> ReadIndexVector(ByteReader& r,
                                             uint64_t num_entries) {
   const uint64_t n = r.Varint();
-  if (!r.ok() || n > kMaxListLen) {
-    return Status::InvalidArgument("bad split index count");
-  }
+  if (!r.Backs(n)) return BadCount("split index count", n, r);
   std::vector<size_t> idx;
   idx.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
@@ -238,8 +229,7 @@ uint64_t FnvChecksum(const char* data, size_t n) {
   return h;
 }
 
-void EncodeCorpusEntry(const CorpusEntry& entry, ShapleyPayload payload,
-                       std::string& out) {
+void EncodeCorpusEntry(const CorpusEntry& entry, std::string& out) {
   PutString(out, entry.query.id);
   PutString(out, entry.query.ToSql());
   PutVarint(out, entry.all_outputs.size());
@@ -259,35 +249,21 @@ void EncodeCorpusEntry(const CorpusEntry& entry, ShapleyPayload payload,
       PutVarint(out, facts[i] - (i == 0 ? 0 : prev));
       prev = facts[i];
     }
-    for (FactId f : facts) {
-      const double v = c.shapley.at(f);
-      if (payload == ShapleyPayload::kFloat64) {
-        PutDouble(out, v);
-      } else {
-        PutFixed32(out, FloatBits(static_cast<float>(v)));
-      }
-    }
+    for (FactId f : facts) PutDouble(out, c.shapley.at(f));
   }
 }
 
-Result<RawRecord> DecodeRawRecord(ByteReader& r, ShapleyPayload payload,
-                                  size_t num_db_facts) {
+Result<RawRecord> DecodeRawRecord(ByteReader& r, size_t num_db_facts) {
   RawRecord rec;
   uint64_t len = r.Varint();
-  if (!r.ok() || len > r.remaining()) {
-    return Status::InvalidArgument("truncated query id");
-  }
+  if (!r.Backs(len)) return BadCount("query id length", len, r);
   rec.query_id = std::string(r.Bytes(static_cast<size_t>(len)));
   len = r.Varint();
-  if (!r.ok() || len > r.remaining()) {
-    return Status::InvalidArgument("truncated query sql");
-  }
+  if (!r.Backs(len)) return BadCount("query sql length", len, r);
   rec.sql = std::string(r.Bytes(static_cast<size_t>(len)));
 
   const uint64_t num_outputs = r.Varint();
-  if (!r.ok() || num_outputs > kMaxListLen) {
-    return Status::InvalidArgument("bad output count");
-  }
+  if (!r.Backs(num_outputs)) return BadCount("output count", num_outputs, r);
   rec.all_outputs.reserve(static_cast<size_t>(num_outputs));
   for (uint64_t i = 0; i < num_outputs; ++i) {
     auto t = DecodeTuple(r);
@@ -296,8 +272,8 @@ Result<RawRecord> DecodeRawRecord(ByteReader& r, ShapleyPayload payload,
   }
 
   const uint64_t num_contribs = r.Varint();
-  if (!r.ok() || num_contribs > kMaxListLen) {
-    return Status::InvalidArgument("bad contribution count");
+  if (!r.Backs(num_contribs, kMinContribBytes)) {
+    return BadCount("contribution count", num_contribs, r);
   }
   rec.contributions.reserve(static_cast<size_t>(num_contribs));
   for (uint64_t i = 0; i < num_contribs; ++i) {
@@ -307,31 +283,30 @@ Result<RawRecord> DecodeRawRecord(ByteReader& r, ShapleyPayload payload,
     contrib.tuple = std::move(*t);
 
     const uint64_t k = r.Varint();
-    if (!r.ok() || k > kMaxListLen) {
-      return Status::InvalidArgument("bad lineage size");
+    if (!r.Backs(k, kMinLineageFactBytes)) {
+      return BadCount("lineage size", k, r);
     }
     std::vector<FactId> facts(static_cast<size_t>(k));
     uint64_t acc = 0;
     for (uint64_t j = 0; j < k; ++j) {
-      acc += r.Varint();
-      if (!r.ok() || acc >= num_db_facts) {
+      const uint64_t delta = r.Varint();
+      if (!r.ok()) return Status::InvalidArgument("truncated lineage");
+      // The encoder writes distinct ids in ascending order, so every delta
+      // after the first is nonzero; a repeated id would silently merge two
+      // lineage facts.
+      if (j > 0 && delta == 0) {
+        return Status::InvalidArgument("repeated fact id in lineage");
+      }
+      if (delta >= num_db_facts - acc) {
         return Status::InvalidArgument("fact id out of range");
       }
+      acc += delta;
       facts[static_cast<size_t>(j)] = static_cast<FactId>(acc);
     }
     contrib.shapley.reserve(static_cast<size_t>(k));
     for (uint64_t j = 0; j < k; ++j) {
-      double v;
-      if (payload == ShapleyPayload::kFloat64) {
-        v = BitsToDouble(r.Fixed64());
-      } else {
-        std::string_view raw = r.Bytes(4);
-        if (!r.ok()) break;
-        uint32_t bits;
-        std::memcpy(&bits, raw.data(), 4);
-        v = static_cast<double>(BitsToFloat(bits));
-      }
-      contrib.shapley[facts[static_cast<size_t>(j)]] = v;
+      contrib.shapley[facts[static_cast<size_t>(j)]] =
+          BitsToDouble(r.Fixed64());
     }
     if (!r.ok()) return Status::InvalidArgument("truncated shapley payload");
     rec.contributions.push_back(std::move(contrib));
@@ -339,9 +314,8 @@ Result<RawRecord> DecodeRawRecord(ByteReader& r, ShapleyPayload payload,
   return rec;
 }
 
-Result<CorpusEntry> DecodeCorpusEntry(ByteReader& r, ShapleyPayload payload,
-                                      const Database& db) {
-  auto raw = DecodeRawRecord(r, payload, db.num_facts());
+Result<CorpusEntry> DecodeCorpusEntry(ByteReader& r, const Database& db) {
+  auto raw = DecodeRawRecord(r, db.num_facts());
   if (!raw.ok()) return raw.status();
   auto query = ParseQuery(db, raw->sql, raw->query_id);
   if (!query.ok()) return query.status();
@@ -360,7 +334,6 @@ struct ShardWriter::Impl {
   uint64_t db_fingerprint;
   uint32_t shard_index;
   uint64_t base_entry;
-  ShapleyPayload payload;
   uint64_t hash = kFnvOffset;  // running FNV over everything written
   std::string scratch;
   bool finished = false;
@@ -377,14 +350,12 @@ struct ShardWriter::Impl {
 };
 
 ShardWriter::ShardWriter(std::string path, uint64_t db_fingerprint,
-                         uint32_t shard_index, uint64_t base_entry,
-                         ShapleyPayload payload)
+                         uint32_t shard_index, uint64_t base_entry)
     : impl_(new Impl) {
   impl_->path = std::move(path);
   impl_->db_fingerprint = db_fingerprint;
   impl_->shard_index = shard_index;
   impl_->base_entry = base_entry;
-  impl_->payload = payload;
   // Stream into the sibling temp path; Finish renames it over `path`.
   impl_->out.open(TempWritePath(impl_->path),
                   std::ios::binary | std::ios::trunc);
@@ -412,7 +383,7 @@ Status ShardWriter::Append(const CorpusEntry& entry) {
   }
   offsets_.push_back(bytes_);
   impl_->scratch.clear();
-  EncodeCorpusEntry(entry, impl_->payload, impl_->scratch);
+  EncodeCorpusEntry(entry, impl_->scratch);
   impl_->WriteHashed(impl_->scratch.data(), impl_->scratch.size());
   bytes_ += impl_->scratch.size();
   if (!impl_->out) {
@@ -433,7 +404,7 @@ Status ShardWriter::Finish(const ShardBuildStats* stats) {
   PutFixed64(footer, impl_->db_fingerprint);
   PutVarint(footer, impl_->shard_index);
   PutVarint(footer, impl_->base_entry);
-  footer.push_back(static_cast<char>(impl_->payload));
+  footer.push_back(static_cast<char>(kShapleyPayloadF64));
   PutVarint(footer, offsets_.size());
   uint64_t prev = 0;
   for (size_t i = 0; i < offsets_.size(); ++i) {
@@ -532,12 +503,15 @@ Result<ShardReader> ShardReader::Open(const std::string& path,
   std::string_view payload_byte = r.Bytes(1);
   if (!r.ok()) return bad("truncated footer");
   const uint8_t pb = static_cast<uint8_t>(payload_byte[0]);
-  if (pb > static_cast<uint8_t>(ShapleyPayload::kFloat32)) {
+  if (pb != kShapleyPayloadF64) {
     return bad(StrFormat("unknown shapley payload encoding %u", pb));
   }
-  f.payload = static_cast<ShapleyPayload>(pb);
+  // No checksum covers the footer, so its record count is bounded by the
+  // footer bytes left (one offset-delta varint per record).
   const uint64_t num_records = r.Varint();
-  if (!r.ok() || num_records > kMaxListLen) return bad("bad record count");
+  if (!r.Backs(num_records)) {
+    return bad(BadCount("record count", num_records, r).message());
+  }
   f.record_offsets.reserve(static_cast<size_t>(num_records));
   uint64_t acc = 0;
   for (uint64_t i = 0; i < num_records; ++i) {
@@ -595,7 +569,7 @@ Result<RawRecord> ShardReader::ReadRawRecord(size_t i,
                          ? static_cast<size_t>(footer_.record_offsets[i + 1])
                          : records_end_;
   ByteReader r(buffer_.data() + begin, end - begin);
-  auto rec = DecodeRawRecord(r, footer_.payload, num_db_facts);
+  auto rec = DecodeRawRecord(r, num_db_facts);
   if (rec.ok() && r.remaining() != 0) {
     return Status::InvalidArgument(
         StrFormat("record %zu has %zu trailing bytes", i, r.remaining()));
@@ -619,7 +593,7 @@ Result<CorpusEntry> ShardReader::ReadRecord(size_t i,
                          ? static_cast<size_t>(footer_.record_offsets[i + 1])
                          : records_end_;
   ByteReader r(buffer_.data() + begin, end - begin);
-  auto entry = DecodeCorpusEntry(r, footer_.payload, db);
+  auto entry = DecodeCorpusEntry(r, db);
   if (entry.ok() && r.remaining() != 0) {
     return Status::InvalidArgument(
         StrFormat("record %zu has %zu trailing bytes", i, r.remaining()));
@@ -670,7 +644,7 @@ Status WriteManifest(const CorpusManifest& manifest,
   PutFixed64(out, manifest.db_fingerprint);
   PutString(out, manifest.db_name);
   PutVarint(out, manifest.db_facts);
-  out.push_back(static_cast<char>(manifest.payload));
+  out.push_back(static_cast<char>(kShapleyPayloadF64));
   PutVarint(out, manifest.shard_entries.size());
   for (uint64_t e : manifest.shard_entries) PutVarint(out, e);
   // Split permutations are stored verbatim: their order is the shuffled
@@ -726,20 +700,25 @@ Result<CorpusManifest> ReadManifest(const std::string& path) {
   std::string_view payload_byte = r.Bytes(1);
   if (!r.ok()) return bad("truncated header");
   const uint8_t pb = static_cast<uint8_t>(payload_byte[0]);
-  if (pb > static_cast<uint8_t>(ShapleyPayload::kFloat32)) {
+  if (pb != kShapleyPayloadF64) {
     return bad(StrFormat("unknown shapley payload encoding %u", pb));
   }
-  m.payload = static_cast<ShapleyPayload>(pb);
   const uint64_t num_shards = r.Varint();
-  if (!r.ok() || num_shards == 0 || num_shards > kMaxListLen) {
-    return bad("bad shard count");
+  if (!r.Backs(num_shards)) {
+    return bad(BadCount("shard count", num_shards, r).message());
   }
+  if (num_shards == 0) return bad("empty shard table");
   m.shard_entries.reserve(static_cast<size_t>(num_shards));
+  uint64_t total = 0;
   for (uint64_t i = 0; i < num_shards; ++i) {
-    m.shard_entries.push_back(r.Varint());
+    const uint64_t entries = r.Varint();
+    if (entries > std::numeric_limits<uint64_t>::max() - total) {
+      return bad("shard table entry counts overflow when summed");
+    }
+    total += entries;
+    m.shard_entries.push_back(entries);
   }
   if (!r.ok()) return bad("truncated shard table");
-  const uint64_t total = m.total_entries();
   for (std::vector<size_t>* idx : {&m.train_idx, &m.dev_idx, &m.test_idx}) {
     auto v = ReadIndexVector(r, total);
     if (!v.ok()) return bad(v.status().message());
@@ -756,8 +735,8 @@ Result<CorpusManifest> ReadManifest(const std::string& path) {
   if (!trips.ok()) return bad(trips.status().message());
   st.budget_trips = std::move(*trips);
   const uint64_t num_shard_stats = r.Varint();
-  if (!r.ok() || num_shard_stats > kMaxListLen) {
-    return bad("bad per-shard stats count");
+  if (!r.Backs(num_shard_stats, kMinShardStatsBytes)) {
+    return bad(BadCount("per-shard stats count", num_shard_stats, r).message());
   }
   st.per_shard.reserve(static_cast<size_t>(num_shard_stats));
   for (uint64_t i = 0; i < num_shard_stats; ++i) {
@@ -767,14 +746,6 @@ Result<CorpusManifest> ReadManifest(const std::string& path) {
   }
   if (!r.ok() || r.remaining() != 0) return bad("truncated or oversized");
   return m;
-}
-
-bool LooksLikeManifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char magic[8];
-  in.read(magic, 8);
-  return in && std::memcmp(magic, kManifestMagic, 8) == 0;
 }
 
 std::string ShardFileName(const std::string& base, size_t shard_index) {

@@ -16,15 +16,17 @@
 //
 // where a record is one CorpusEntry with varint-packed lengths, zigzag
 // varint ints, delta-encoded sorted fact-id lists, and raw little-endian
-// f64 (or optionally f32-quantized) Shapley payloads. The footer carries
-// the database fact-table fingerprint, the record offset index, per-rung
+// f64 Shapley payloads (a lossless round trip). The footer carries the
+// database fact-table fingerprint, the record offset index, per-rung
 // BuildStats counts for the shard, and an FNV-1a checksum of everything
 // before the footer — so truncation, corruption and database mismatch are
 // each detected with a precise error. Readers parse in place over one
 // loaded buffer (no per-field copies beyond the decoded entry itself).
 //
-// The line-oriented text format (corpus/io.h) remains the differential
-// oracle: both formats load to identical Corpus objects.
+// This is the only corpus format (corpus/io.h saves and loads it). Every
+// count a reader decodes is bounded by the bytes left to back it before
+// anything is sized from it, so a corrupted or inflated length field fails
+// with kInvalidArgument instead of a large allocation.
 
 #include <cstdint>
 #include <cstring>
@@ -51,12 +53,6 @@ inline constexpr char kSiteShardRecord[] = "corpus.shard_record";
 inline constexpr char kShardMagic[9] = "LSHPCS02";
 inline constexpr char kShardTrailerMagic[9] = "LSHPSFTR";
 inline constexpr char kManifestMagic[9] = "LSHPCM02";
-
-// How a shard encodes Shapley payloads.
-enum class ShapleyPayload : uint8_t {
-  kFloat64 = 0,  // lossless round trip (the default)
-  kFloat32 = 1,  // half the payload bytes; ~1e-7 relative quantization
-};
 
 // --- Varint primitives (LEB128, zigzag for signed), shared by the shard
 // writer/reader and the manifest codec. ---
@@ -86,6 +82,12 @@ class ByteReader {
   bool ok() const { return ok_; }
   size_t pos() const { return pos_; }
   size_t remaining() const { return size_ - pos_; }
+  // True if no read has failed and `n` elements of at least `min_bytes`
+  // encoded bytes each fit in what remains. Every count read from a file
+  // passes this before anything is sized from it.
+  bool Backs(uint64_t n, size_t min_bytes = 1) const {
+    return ok_ && n <= remaining() / min_bytes;
+  }
   void Fail() { ok_ = false; }
 
  private:
@@ -101,8 +103,7 @@ uint64_t FnvChecksum(const char* data, size_t n);
 // --- Record codec. ---
 
 // Appends one packed record for `entry` to `out`.
-void EncodeCorpusEntry(const CorpusEntry& entry, ShapleyPayload payload,
-                       std::string& out);
+void EncodeCorpusEntry(const CorpusEntry& entry, std::string& out);
 
 // A record decoded without a database: the query stays as (id, sql) text.
 // What tools/corpus_inspect prints, and the intermediate step of full
@@ -116,13 +117,10 @@ struct RawRecord {
 
 // Decodes one record in place. Fact ids are validated against
 // `num_db_facts`; any malformed field fails with kInvalidArgument.
-Result<RawRecord> DecodeRawRecord(ByteReader& reader, ShapleyPayload payload,
-                                  size_t num_db_facts);
+Result<RawRecord> DecodeRawRecord(ByteReader& reader, size_t num_db_facts);
 
 // Full decode: raw record plus query re-parse against `db`.
-Result<CorpusEntry> DecodeCorpusEntry(ByteReader& reader,
-                                      ShapleyPayload payload,
-                                      const Database& db);
+Result<CorpusEntry> DecodeCorpusEntry(ByteReader& reader, const Database& db);
 
 // --- Shard files. ---
 
@@ -131,7 +129,6 @@ struct ShardFooter {
   uint64_t db_fingerprint = 0;
   uint32_t shard_index = 0;
   uint64_t base_entry = 0;  // global index of the shard's first entry
-  ShapleyPayload payload = ShapleyPayload::kFloat64;
   std::vector<uint64_t> record_offsets;  // absolute, one per record
   // Per-rung BuildStats breakdown for the shard (zero when the shard was
   // written by a plain re-save that has no per-shard provenance).
@@ -152,8 +149,7 @@ struct ShardFooter {
 class ShardWriter {
  public:
   ShardWriter(std::string path, uint64_t db_fingerprint, uint32_t shard_index,
-              uint64_t base_entry,
-              ShapleyPayload payload = ShapleyPayload::kFloat64);
+              uint64_t base_entry);
   ~ShardWriter();
 
   ShardWriter(const ShardWriter&) = delete;
@@ -214,7 +210,6 @@ struct CorpusManifest {
   std::string db_name;
   uint64_t db_facts = 0;
   uint64_t db_fingerprint = 0;
-  ShapleyPayload payload = ShapleyPayload::kFloat64;
   std::vector<uint64_t> shard_entries;  // entries per shard, shard order
   std::vector<size_t> train_idx;
   std::vector<size_t> dev_idx;
@@ -222,6 +217,7 @@ struct CorpusManifest {
   BuildStats stats;
 
   size_t num_shards() const { return shard_entries.size(); }
+  // ReadManifest rejects a shard table whose counts overflow this sum.
   uint64_t total_entries() const {
     uint64_t n = 0;
     for (uint64_t e : shard_entries) n += e;
@@ -231,10 +227,6 @@ struct CorpusManifest {
 
 Status WriteManifest(const CorpusManifest& manifest, const std::string& path);
 Result<CorpusManifest> ReadManifest(const std::string& path);
-
-// True if the file at `path` starts with the manifest magic — how
-// LoadCorpus auto-detects binary corpora.
-bool LooksLikeManifest(const std::string& path);
 
 // Canonical shard file name: "<base>.shard000", "<base>.shard001", ...
 std::string ShardFileName(const std::string& base, size_t shard_index);

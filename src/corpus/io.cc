@@ -1,385 +1,25 @@
 #include "corpus/io.h"
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <algorithm>
+#include <iterator>
 
-#include "common/fileio.h"
 #include "common/strings.h"
 #include "corpus/format.h"
-#include "query/parser.h"
 
 namespace lshap {
 
-namespace {
-
-constexpr char kFieldSep = '\x1f';
-
-std::string EscapeField(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case kFieldSep:
-        out += "\\u";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-Result<std::string> UnescapeField(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\') {
-      out += s[i];
-      continue;
-    }
-    if (i + 1 >= s.size()) {
-      return Status::InvalidArgument("dangling escape in corpus file");
-    }
-    switch (s[++i]) {
-      case '\\':
-        out += '\\';
-        break;
-      case 'n':
-        out += '\n';
-        break;
-      case 'u':
-        out += kFieldSep;
-        break;
-      default:
-        return Status::InvalidArgument("unknown escape in corpus file");
-    }
-  }
-  return out;
-}
-
-std::string SerializeValue(const Value& v) {
-  if (v.is_null()) return "N";
-  if (v.is_int()) return "I" + std::to_string(v.AsInt());
-  if (v.is_double()) return "D" + StrFormat("%.17g", v.AsDouble());
-  return "S" + v.AsString();
-}
-
-Result<Value> DeserializeValue(const std::string& s) {
-  if (s.empty()) return Status::InvalidArgument("empty value field");
-  const std::string body = s.substr(1);
-  switch (s[0]) {
-    case 'N':
-      return Value();
-    case 'I':
-      return Value(static_cast<int64_t>(std::stoll(body)));
-    case 'D':
-      return Value(std::stod(body));
-    case 'S':
-      return Value(body);
-  }
-  return Status::InvalidArgument("unknown value tag '" + s.substr(0, 1) +
-                                 "'");
-}
-
-std::string SerializeTuple(const OutputTuple& t) {
-  std::string out;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (i > 0) out += kFieldSep;
-    out += EscapeField(SerializeValue(t[i]));
-  }
-  return out;
-}
-
-Result<OutputTuple> DeserializeTuple(const std::string& line) {
-  OutputTuple t;
-  if (line.empty()) return t;
-  for (const std::string& field : Split(line, kFieldSep)) {
-    auto unescaped = UnescapeField(field);
-    if (!unescaped.ok()) return unescaped.status();
-    auto value = DeserializeValue(*unescaped);
-    if (!value.ok()) return value.status();
-    t.push_back(std::move(*value));
-  }
-  return t;
-}
-
-void WriteIndexLine(std::ofstream& out, const char* name,
-                    const std::vector<size_t>& idx) {
-  out << name;
-  for (size_t i : idx) out << ' ' << i;
-  out << '\n';
-}
-
-}  // namespace
-
-Status SaveCorpus(const Corpus& corpus, const std::string& path) {
-  if (corpus.db == nullptr) {
-    return Status::FailedPrecondition("corpus has no database");
-  }
-  // Stream into the sibling temp path and rename into place on success, so
-  // a crash mid-save never leaves a truncated corpus under the final name.
-  const std::string tmp = TempWritePath(path);
-  std::ofstream out(tmp);
-  if (!out) return Status::Internal("cannot open '" + tmp + "' for write");
-
-  out << "LSHAP_CORPUS 1\n";
-  // The fnv token is the fact-table fingerprint: name + fact count alone
-  // cannot tell two same-shaped databases apart. Loaders tolerate its
-  // absence (older files) but reject a mismatch.
-  out << "db " << corpus.db->name() << ' ' << corpus.db->num_facts() << ' '
-      << StrFormat("fnv:%016llx",
-                   static_cast<unsigned long long>(
-                       FactTableFingerprint(*corpus.db)))
-      << '\n';
-  // Build provenance: which degradation-ladder rung produced each tuple's
-  // ground truth (see BuildStats). Older readers that predate this line are
-  // gone; LoadCorpus tolerates its absence for older files.
-  out << "stats " << corpus.stats.exact << ' ' << corpus.stats.monte_carlo
-      << ' ' << corpus.stats.cnf_proxy << ' ' << corpus.stats.skipped << ' '
-      << StrFormat("%.6f", corpus.stats.wall_seconds) << ' '
-      << corpus.stats.budget_trips.size();
-  for (const auto& [site, count] : corpus.stats.budget_trips) {
-    out << ' ' << site << ':' << count;
-  }
-  // The stratified rung postdates the fixed-position fields, so it rides as
-  // a trailing key:value token — and only when nonzero, keeping files from
-  // default (rung-off) builds byte-identical to the historical format.
-  if (corpus.stats.stratified > 0) {
-    out << " strat:" << corpus.stats.stratified;
-  }
-  out << '\n';
-  out << "entries " << corpus.entries.size() << '\n';
-  for (const auto& e : corpus.entries) {
-    out << "entry " << e.query.id << '\n';
-    out << "sql " << EscapeField(e.query.ToSql()) << '\n';
-    out << "outputs " << e.all_outputs.size() << '\n';
-    for (const auto& t : e.all_outputs) {
-      out << "O " << SerializeTuple(t) << '\n';
-    }
-    out << "contribs " << e.contributions.size() << '\n';
-    for (const auto& c : e.contributions) {
-      out << "C " << SerializeTuple(c.tuple) << '\n';
-      out << "S " << c.shapley.size();
-      for (const auto& [f, v] : c.shapley) {
-        out << ' ' << f << ':' << StrFormat("%.17g", v);
-      }
-      out << '\n';
-    }
-  }
-  WriteIndexLine(out, "train", corpus.train_idx);
-  WriteIndexLine(out, "dev", corpus.dev_idx);
-  WriteIndexLine(out, "test", corpus.test_idx);
-  out.flush();
-  if (!out) {
-    out.close();
-    std::remove(tmp.c_str());
-    return Status::Internal("write to '" + tmp + "' failed");
-  }
-  out.close();
-  return CommitTempFile(path);
-}
-
-Result<Corpus> LoadCorpus(const Database* db, const std::string& path) {
-  if (db == nullptr) return Status::InvalidArgument("null database");
-  // Binary corpora are detected by magic, so callers need only one load
-  // entry point regardless of which format produced the file.
-  if (LooksLikeManifest(path)) return LoadCorpusShards(db, path);
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
-
-  auto bad = [&](const std::string& what) {
-    return Status::InvalidArgument("corpus file '" + path + "': " + what);
-  };
-
-  std::string line;
-  if (!std::getline(in, line) || line != "LSHAP_CORPUS 1") {
-    return bad("missing header");
-  }
-  std::string word;
-  {
-    if (!std::getline(in, line)) return bad("missing db line");
-    std::istringstream ls(line);
-    std::string name;
-    size_t facts = 0;
-    ls >> word >> name >> facts;
-    if (word != "db") return bad("expected db line");
-    if (name != db->name() || facts != db->num_facts()) {
-      return Status::FailedPrecondition(
-          StrFormat("corpus was built over database '%s' (%zu facts), got "
-                    "'%s' (%zu facts)",
-                    name.c_str(), facts, db->name().c_str(),
-                    db->num_facts()));
-    }
-    std::string token;
-    if (ls >> token && StartsWith(token, "fnv:")) {
-      uint64_t stored = 0;
-      try {
-        stored = std::stoull(token.substr(4), nullptr, 16);
-      } catch (...) {
-        return bad("malformed fnv token");
-      }
-      const uint64_t actual = FactTableFingerprint(*db);
-      if (stored != actual) {
-        return Status::InvalidArgument(StrFormat(
-            "corpus file '%s' was built over a database with fact-table "
-            "fingerprint %016llx, but the given database fingerprints "
-            "%016llx — same name/size is not enough, the fact tables "
-            "differ",
-            path.c_str(), static_cast<unsigned long long>(stored),
-            static_cast<unsigned long long>(actual)));
-      }
-    }
-  }
-
-  Corpus corpus;
-  corpus.db = db;
-  if (!std::getline(in, line)) return bad("missing entries line");
-  if (StartsWith(line, "stats ")) {
-    std::istringstream ls(line.substr(6));
-    size_t num_trips = 0;
-    if (!(ls >> corpus.stats.exact >> corpus.stats.monte_carlo >>
-          corpus.stats.cnf_proxy >> corpus.stats.skipped >>
-          corpus.stats.wall_seconds >> num_trips)) {
-      return bad("malformed stats line");
-    }
-    for (size_t i = 0; i < num_trips; ++i) {
-      std::string pair;
-      if (!(ls >> pair)) return bad("truncated stats trip list");
-      const size_t colon = pair.rfind(':');
-      if (colon == std::string::npos) return bad("malformed stats trip");
-      corpus.stats.budget_trips[pair.substr(0, colon)] =
-          std::stoul(pair.substr(colon + 1));
-    }
-    // Optional trailing tokens (absent in older files): currently only the
-    // stratified-rung count.
-    std::string extra;
-    while (ls >> extra) {
-      if (StartsWith(extra, "strat:")) {
-        corpus.stats.stratified = std::stoul(extra.substr(6));
-      }
-    }
-    if (!std::getline(in, line)) return bad("missing entries line");
-  }
-  size_t num_entries = 0;
-  {
-    std::istringstream ls(line);
-    ls >> word >> num_entries;
-    if (word != "entries") return bad("expected entries line");
-  }
-
-  for (size_t e = 0; e < num_entries; ++e) {
-    CorpusEntry entry;
-    if (!std::getline(in, line) || !StartsWith(line, "entry ")) {
-      return bad("expected entry line");
-    }
-    const std::string id = line.substr(6);
-    if (!std::getline(in, line) || !StartsWith(line, "sql ")) {
-      return bad("expected sql line");
-    }
-    auto sql = UnescapeField(line.substr(4));
-    if (!sql.ok()) return sql.status();
-    auto query = ParseQuery(*db, *sql, id);
-    if (!query.ok()) return query.status();
-    entry.query = std::move(*query);
-
-    size_t num_outputs = 0;
-    if (!std::getline(in, line)) return bad("expected outputs line");
-    {
-      std::istringstream ls(line);
-      ls >> word >> num_outputs;
-      if (word != "outputs") return bad("expected outputs line");
-    }
-    entry.all_outputs.reserve(num_outputs);
-    for (size_t i = 0; i < num_outputs; ++i) {
-      if (!std::getline(in, line) || !StartsWith(line, "O ")) {
-        return bad("expected O line");
-      }
-      auto tuple = DeserializeTuple(line.substr(2));
-      if (!tuple.ok()) return tuple.status();
-      entry.all_outputs.push_back(std::move(*tuple));
-    }
-
-    size_t num_contribs = 0;
-    if (!std::getline(in, line)) return bad("expected contribs line");
-    {
-      std::istringstream ls(line);
-      ls >> word >> num_contribs;
-      if (word != "contribs") return bad("expected contribs line");
-    }
-    entry.contributions.reserve(num_contribs);
-    for (size_t i = 0; i < num_contribs; ++i) {
-      TupleContribution contrib;
-      if (!std::getline(in, line) || !StartsWith(line, "C ")) {
-        return bad("expected C line");
-      }
-      auto tuple = DeserializeTuple(line.substr(2));
-      if (!tuple.ok()) return tuple.status();
-      contrib.tuple = std::move(*tuple);
-      if (!std::getline(in, line) || !StartsWith(line, "S ")) {
-        return bad("expected S line");
-      }
-      std::istringstream ls(line.substr(2));
-      size_t k = 0;
-      ls >> k;
-      for (size_t j = 0; j < k; ++j) {
-        std::string pair;
-        if (!(ls >> pair)) return bad("truncated shapley list");
-        const size_t colon = pair.find(':');
-        if (colon == std::string::npos) return bad("malformed shapley pair");
-        const FactId f =
-            static_cast<FactId>(std::stoul(pair.substr(0, colon)));
-        if (f >= db->num_facts()) return bad("fact id out of range");
-        contrib.shapley[f] = std::stod(pair.substr(colon + 1));
-      }
-      entry.contributions.push_back(std::move(contrib));
-    }
-    corpus.entries.push_back(std::move(entry));
-  }
-
-  auto read_index = [&](const char* name,
-                        std::vector<size_t>& idx) -> Status {
-    if (!std::getline(in, line)) return bad(std::string("missing ") + name);
-    std::istringstream ls(line);
-    ls >> word;
-    if (word != name) return bad(std::string("expected ") + name + " line");
-    size_t i;
-    while (ls >> i) {
-      if (i >= corpus.entries.size()) return bad("split index out of range");
-      idx.push_back(i);
-    }
-    return Status::Ok();
-  };
-  Status s = read_index("train", corpus.train_idx);
-  if (!s.ok()) return s;
-  s = read_index("dev", corpus.dev_idx);
-  if (!s.ok()) return s;
-  s = read_index("test", corpus.test_idx);
-  if (!s.ok()) return s;
-  return corpus;
-}
-
 Status SaveCorpusShards(const Corpus& corpus, const std::string& path,
-                        size_t num_shards, bool f32_payload) {
+                        size_t num_shards) {
   if (corpus.db == nullptr) {
     return Status::FailedPrecondition("corpus has no database");
   }
   if (num_shards == 0) num_shards = 1;
   const uint64_t fingerprint = FactTableFingerprint(*corpus.db);
-  const ShapleyPayload payload =
-      f32_payload ? ShapleyPayload::kFloat32 : ShapleyPayload::kFloat64;
 
   CorpusManifest manifest;
   manifest.db_name = corpus.db->name();
   manifest.db_facts = corpus.db->num_facts();
   manifest.db_fingerprint = fingerprint;
-  manifest.payload = payload;
   manifest.train_idx = corpus.train_idx;
   manifest.dev_idx = corpus.dev_idx;
   manifest.test_idx = corpus.test_idx;
@@ -394,7 +34,7 @@ Status SaveCorpusShards(const Corpus& corpus, const std::string& path,
     const size_t lo = corpus.entries.size() * s / num_shards;
     const size_t hi = corpus.entries.size() * (s + 1) / num_shards;
     ShardWriter writer(ShardFileName(path, s), fingerprint,
-                       static_cast<uint32_t>(s), lo, payload);
+                       static_cast<uint32_t>(s), lo);
     for (size_t i = lo; i < hi; ++i) {
       Status st = writer.Append(corpus.entries[i]);
       if (!st.ok()) return st;
@@ -475,12 +115,11 @@ Result<Corpus> LoadCorpusShards(const Database* db, const std::string& path,
   Corpus corpus;
   corpus.db = db;
   corpus.stats = m.stats;
-  corpus.entries.reserve(static_cast<size_t>(m.total_entries()));
-  // Maps manifest-global entry index -> loaded entry index (or npos when
-  // the entry's shard was quarantined), for split-index remapping.
+  // Where each shard's entries start in corpus.entries, or kDropped for a
+  // quarantined shard. Nothing is sized from the manifest's shard table:
+  // the corpus grows only by what each shard's own records confirm.
   constexpr size_t kDropped = static_cast<size_t>(-1);
-  std::vector<size_t> remap(static_cast<size_t>(m.total_entries()), kDropped);
-  size_t global = 0;
+  std::vector<size_t> loaded_base(m.num_shards(), kDropped);
   bool any_skipped = false;
   for (size_t s = 0; s < m.num_shards(); ++s) {
     const std::string shard_path = ShardFileName(path, s);
@@ -494,29 +133,40 @@ Result<Corpus> LoadCorpusShards(const Database* db, const std::string& path,
             {s, entries.status().code(), entries.status().message()});
         report->dropped_entries += static_cast<size_t>(m.shard_entries[s]);
       }
-      global += static_cast<size_t>(m.shard_entries[s]);
       continue;
     }
     if (report != nullptr) ++report->loaded_shards;
-    for (CorpusEntry& entry : *entries) {
-      remap[global++] = corpus.entries.size();
-      corpus.entries.push_back(std::move(entry));
-    }
+    loaded_base[s] = corpus.entries.size();
+    corpus.entries.insert(corpus.entries.end(),
+                          std::make_move_iterator(entries->begin()),
+                          std::make_move_iterator(entries->end()));
   }
 
   size_t dropped_refs = 0;
-  auto remap_split = [&](const std::vector<size_t>& in,
-                         std::vector<size_t>& out) {
-    out.reserve(in.size());
-    for (size_t i : in) {
-      if (remap[i] == kDropped) {
-        ++dropped_refs;
-      } else {
-        out.push_back(remap[i]);
-      }
-    }
-  };
   if (any_skipped) {
+    // Manifest-global index of each shard's first entry: the shard table's
+    // prefix sums, which ReadManifest has checked do not overflow.
+    std::vector<uint64_t> first(m.num_shards());
+    uint64_t next = 0;
+    for (size_t s = 0; s < m.num_shards(); ++s) {
+      first[s] = next;
+      next += m.shard_entries[s];
+    }
+    auto remap_split = [&](const std::vector<size_t>& in,
+                           std::vector<size_t>& out) {
+      for (size_t i : in) {
+        // The last shard starting at or before i holds entry i (a split
+        // index is below the total, so empty shards are never picked).
+        const size_t s = static_cast<size_t>(
+            std::upper_bound(first.begin(), first.end(), i) - first.begin() -
+            1);
+        if (loaded_base[s] == kDropped) {
+          ++dropped_refs;
+        } else {
+          out.push_back(loaded_base[s] + static_cast<size_t>(i - first[s]));
+        }
+      }
+    };
     remap_split(m.train_idx, corpus.train_idx);
     remap_split(m.dev_idx, corpus.dev_idx);
     remap_split(m.test_idx, corpus.test_idx);

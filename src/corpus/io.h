@@ -10,31 +10,21 @@
 
 namespace lshap {
 
-// Saves a corpus (queries as SQL, witnesses, sampled contributions with
-// exact Shapley values, and the train/dev/test split) to a line-oriented
-// text file — the human-greppable differential oracle for the packed
-// binary format below.
+// Corpus persistence. A corpus is stored in one format: the packed binary
+// manifest plus shard files of corpus/format.h. tools/corpus_inspect dumps
+// one for human reading.
 //
 // Fact ids are database-relative: loading requires the same deterministic
-// database build (same generator config and seed), which the header records
-// by database name, fact count and an FNV-1a fact-table fingerprint.
-Status SaveCorpus(const Corpus& corpus, const std::string& path);
-
-// Loads a corpus previously written by SaveCorpus or SaveCorpusShards (the
-// binary manifest magic is auto-detected). Queries are re-parsed from their
-// SQL; `db` must be the same database instance the corpus was built over —
-// validated by name and fact count (kFailedPrecondition) and, when the file
-// records one, by fact-table fingerprint (kInvalidArgument: same name and
-// size but different facts).
-Result<Corpus> LoadCorpus(const Database* db, const std::string& path);
+// database build (same generator config and seed), which the manifest and
+// every shard footer record by database name, fact count and an FNV-1a
+// fact-table fingerprint.
 
 // Saves a corpus as a packed binary manifest at `path` plus
 // `<path>.shardNNN` shard files (format.h). `num_shards` 0 means one
-// shard; entries are partitioned contiguously. `f32_payload` stores
-// Shapley values quantized to float32 (half the payload bytes, ~1e-7
-// relative error) instead of the lossless float64 default.
+// shard; entries are partitioned contiguously. Shapley values are stored
+// as lossless float64.
 Status SaveCorpusShards(const Corpus& corpus, const std::string& path,
-                        size_t num_shards = 0, bool f32_payload = false);
+                        size_t num_shards = 0);
 
 // Shard-load policy. The default (strict) fails the whole load on the
 // first bad shard. Non-strict is quarantine mode: a shard that is missing,
@@ -67,8 +57,12 @@ struct ShardLoadReport {
 };
 
 // Loads a packed binary corpus written by SaveCorpusShards or
-// BuildCorpusToShards. Validates the manifest and every shard against
-// `db`'s fact-table fingerprint and each shard file's checksum.
+// BuildCorpusToShards. Queries are re-parsed from their SQL. `db` must be
+// the database the corpus was built over: a different name or fact count
+// fails with kFailedPrecondition, a different fact-table fingerprint with
+// kInvalidArgument. Every shard is checked against that fingerprint and
+// its own checksum, and nothing is sized from the manifest's shard table
+// before the shard itself confirms its record count.
 Result<Corpus> LoadCorpusShards(const Database* db, const std::string& path);
 
 // As above with an explicit load policy; `report` (optional) receives the

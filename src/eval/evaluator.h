@@ -72,9 +72,9 @@ struct EvalOptions {
   // Compile ordered/prefix string selections to rank-interval tests over
   // the pool's order sidecar when it is fresh (see StringPool). Disabling
   // this forces the string-materializing path even on a frozen pool — the
-  // differential oracle the property tests and the before/after micro-bench
-  // (bench_string_predicates) compare against. Both paths must agree
-  // exactly; the flag only selects which one runs.
+  // differential oracle the property tests (eval_property_test) compare
+  // against. Both paths must agree exactly; the flag only selects which one
+  // runs.
   bool use_string_ranks = true;
   // Observability opt-in: when set, the evaluator records eval.* counters,
   // histograms, and spans into the registry (see DESIGN.md §9). Null means

@@ -1,8 +1,9 @@
 // NULL semantics across the whole stack: the validity bitmap on ColumnData,
 // every null-capable ingest surface, three-valued predicate evaluation,
 // SQL join-null (and NaN-key) behavior, null-aware DISTINCT, parser support
-// for NULL literals — and golden pins proving that all-valid workloads are
-// byte-identical to the pre-null engine (DESIGN.md §14).
+// for NULL literals — golden pins proving that all-valid workloads are
+// byte-identical to the pre-null engine, and a forced-bitmap database that
+// must answer a join log exactly as the bitmap-free one does (DESIGN.md §14).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -562,6 +563,87 @@ TEST(GoldenTest, EvalLogFingerprintsMatchSeedAtEveryThreadCount) {
                 pin.want)
           << "threads=" << threads
           << " capture=" << static_cast<int>(pin.capture);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Forced bitmaps: a validity bitmap on every column changes no join answer.
+// ---------------------------------------------------------------------------
+
+// Clones `src` and appends one all-NULL row to every table: the same cells,
+// but every column now carries a validity bitmap, so scans pay the valid(r)
+// branch and joins the null-key checks.
+std::unique_ptr<Database> CloneWithNullRowPerTable(const Database& src) {
+  auto db = std::make_unique<Database>(src.name());
+  for (size_t t = 0; t < src.num_tables(); ++t) {
+    const Table& table = src.table(t);
+    LSHAP_CHECK(db->AddTable(table.schema()).ok());
+    TableAppender app = db->AppenderFor(table.schema().table_name());
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      app.Begin();
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        const Value v = table.GetValue(r, c);
+        if (v.is_int()) {
+          app.Int(v.AsInt());
+        } else if (v.is_string()) {
+          app.Str(v.AsString());
+        } else {
+          app.Real(v.AsDouble());
+        }
+      }
+      app.Commit();
+    }
+    app.Begin();
+    for (size_t c = 0; c < table.num_columns(); ++c) app.Null();
+    app.Commit();
+  }
+  db->FreezeStringOrder();
+  return db;
+}
+
+TEST(ForcedBitmapTest, JoinLogMatchesAllValidDatabase) {
+  ImdbConfig cfg;
+  cfg.seed = 7;
+  cfg.num_companies = 20;
+  cfg.num_actors = 120;
+  cfg.num_movies = 220;
+  cfg.num_roles = 700;
+  GeneratedDb base = MakeImdbDatabase(cfg);
+  const std::unique_ptr<Database> forced = CloneWithNullRowPerTable(*base.db);
+  for (size_t t = 0; t < forced->num_tables(); ++t) {
+    for (size_t c = 0; c < forced->table(t).num_columns(); ++c) {
+      EXPECT_TRUE(forced->table(t).column(c).has_nulls())
+          << forced->table(t).schema().table_name() << " column " << c;
+    }
+  }
+
+  // Joins of 2-4 tables only. A NULL key joins nothing, but an unfiltered
+  // single-table scan would also return the appended row.
+  QueryGenConfig gen_cfg;
+  gen_cfg.min_tables = 2;
+  gen_cfg.max_tables = 4;
+  QueryGenerator gen(base.db.get(), base.graph, gen_cfg, 4242);
+  const std::vector<Query> log = gen.GenerateLog(5, "forced");
+  ASSERT_EQ(log.size(), 20u);
+
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    EvalOptions opts;
+    if (p != nullptr) {
+      // Tiny morsels force real parallel merges on this small database.
+      opts.WithPool(p).WithMorselRows(3).WithMinParallelRows(1);
+    }
+    for (const Query& q : log) {
+      SCOPED_TRACE(q.ToSql() + (p != nullptr ? " [4 threads]" : " [serial]"));
+      auto want = Evaluate(*base.db, q, opts);
+      auto got = Evaluate(*forced, q, opts);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->tuples, want->tuples);
+      for (size_t i = 0; i < want->tuples.size(); ++i) {
+        EXPECT_EQ(got->LineageOf(i).size(), want->LineageOf(i).size());
+      }
     }
   }
 }

@@ -2,11 +2,13 @@
 # Tier-1 check under sanitizers. LSHAP_SANITIZE selects the mode:
 #
 #   address (default, alias ON) — ASan+UBSan build tree (build-sanitize),
-#       full test suite.
+#       full test suite, including corpus_io_test's seeded corruption sweep
+#       over the shard and manifest decoders.
 #   thread — TSan build tree (build-tsan), running the concurrency-heavy
 #       tests: the morsel-parallel evaluator differential tests
 #       (eval_property_test), the null-semantics golden pins — parallel
-#       evaluation over validity bitmaps at 1/2/8 threads
+#       evaluation over validity bitmaps at 1/2/8 threads, and a
+#       forced-bitmap join log on a 4-thread pool
 #       (null_semantics_test), the budget/cancellation machinery
 #       (budget_test), the ThreadPool stress test (common_test), the
 #       sharded metrics registry (metrics_test), the corpus shard

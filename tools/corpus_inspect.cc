@@ -32,10 +32,6 @@
 namespace lshap {
 namespace {
 
-const char* PayloadName(ShapleyPayload p) {
-  return p == ShapleyPayload::kFloat32 ? "f32 (quantized)" : "f64 (lossless)";
-}
-
 void PrintRawRecord(const RawRecord& rec, size_t global_idx) {
   std::printf("    record %zu: id=%s\n", global_idx, rec.query_id.c_str());
   std::printf("      sql: %s\n", rec.sql.c_str());
@@ -74,7 +70,6 @@ int Inspect(const std::string& path, size_t sample_records) {
   std::printf("  db: %s (%llu facts), fingerprint %016llx\n",
               m.db_name.c_str(), static_cast<unsigned long long>(m.db_facts),
               static_cast<unsigned long long>(m.db_fingerprint));
-  std::printf("  payload: %s\n", PayloadName(m.payload));
   std::printf("  shards: %zu, entries: %llu\n", m.num_shards(),
               static_cast<unsigned long long>(m.total_entries()));
   std::printf("  splits: train %zu / dev %zu / test %zu\n",

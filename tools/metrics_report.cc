@@ -6,7 +6,7 @@
 //
 // The parser is a ~100-line recursive-descent JSON reader, deliberately
 // self-contained: the repo has no external dependencies beyond
-// googletest/google-benchmark, and the snapshot grammar is small and
+// googletest, and the snapshot grammar is small and
 // machine-generated, so a general JSON library would be all dead weight.
 // It accepts arbitrary well-formed JSON anyway — hand-edited snapshots and
 // future fields parse fine — and fails with a position on malformed input.
