@@ -47,7 +47,8 @@ ModeStats RunMode(const Corpus& corpus, ProvenanceCapture capture,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Ablation: provenance-capture overhead (IMDB query log)");
   const Workbench wb = MakeImdbWorkbench(pool);

@@ -16,7 +16,8 @@
 using namespace lshap;
 using namespace lshap::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Ablation: compiler component decomposition (circuit size & "
               "Shapley time)");

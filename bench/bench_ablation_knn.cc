@@ -31,7 +31,8 @@ void RunDb(const Workbench& wb, ThreadPool& pool) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Ablation: Nearest Queries neighbour count (paper uses n = 3)");
   const Workbench imdb = MakeImdbWorkbench(pool);

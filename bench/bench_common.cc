@@ -2,7 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 namespace lshap {
 namespace bench {
@@ -51,18 +51,34 @@ CorpusConfig AcademicCorpusConfig() {
 
 }  // namespace
 
-MetricsRegistry* InitBenchMetrics(int* argc, char** argv) {
-  constexpr char kFlag[] = "--metrics-json=";
-  constexpr size_t kFlagLen = sizeof(kFlag) - 1;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strncmp(argv[i], kFlag, kFlagLen) == 0) {
-      g_metrics_path = argv[i] + kFlagLen;
-    } else {
-      argv[out++] = argv[i];
+MetricsRegistry* ParseBenchArgs(int argc, char** argv,
+                                const std::vector<BenchFlag>& flags) {
+  constexpr std::string_view kMetricsFlag = "--metrics-json=";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with(kMetricsFlag) && arg.size() > kMetricsFlag.size()) {
+      g_metrics_path = arg.substr(kMetricsFlag.size());
+      continue;
     }
+    const BenchFlag* match = nullptr;
+    for (const BenchFlag& flag : flags) {
+      const bool takes_value = flag.name.back() == '=';
+      if (takes_value ? arg.starts_with(flag.name) : arg == flag.name) {
+        match = &flag;
+        break;
+      }
+    }
+    if (match == nullptr) {
+      std::string usage = "[--metrics-json=PATH]";
+      for (const BenchFlag& flag : flags) {
+        usage += " [" + flag.name + (flag.name.back() == '=' ? "VALUE]" : "]");
+      }
+      std::fprintf(stderr, "%s: unknown argument '%s'\nusage: %s %s\n",
+                   argv[0], argv[i], argv[0], usage.c_str());
+      std::exit(2);
+    }
+    match->apply(argv[i] + match->name.size());
   }
-  *argc = out;
   if (!g_metrics_path.empty() && g_bench_metrics == nullptr) {
     g_bench_metrics = &MetricsRegistry::Global();
     std::atexit(FlushBenchMetrics);

@@ -1,8 +1,10 @@
 #ifndef LSHAP_BENCH_BENCH_COMMON_H_
 #define LSHAP_BENCH_BENCH_COMMON_H_
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/metrics.h"
 #include "corpus/corpus.h"
@@ -30,15 +32,26 @@ Workbench MakeAcademicWorkbench(ThreadPool& pool);
 // Prints a horizontal rule + centered title, paper-style.
 void PrintHeader(const std::string& title);
 
-// --metrics-json=PATH support. Call first thing in main: strips the flag
-// from (argc, argv) and, when it was present, returns the process-global
-// MetricsRegistry and registers an atexit hook that writes its ToJson()
-// snapshot to PATH. Returns null (and arranges nothing) when the flag is
-// absent — the benchmarks then run with no-op handles, which is the
-// baseline side of the BENCH_pr5.json overhead comparison.
-MetricsRegistry* InitBenchMetrics(int* argc, char** argv);
+// One bench-specific command-line flag. A `name` ending in '=' takes a
+// value ("--clients=" matches "--clients=8" and is applied with "8"); any
+// other name is a switch, matched exactly and applied with "".
+struct BenchFlag {
+  std::string name;
+  std::function<void(const char* value)> apply;
+};
 
-// The registry handed out by InitBenchMetrics, or null. Thread this into
+// The one command-line parser of every bench binary; call it first thing
+// in main. It accepts --metrics-json=PATH plus `flags`, applied in argv
+// order. Anything else prints a usage line to stderr and exits 2 before
+// the bench does any work. When --metrics-json was given, it returns the
+// process-global MetricsRegistry and registers an atexit hook that writes
+// its ToJson() snapshot to PATH; otherwise it returns null and arranges
+// nothing — the benchmarks then run with no-op handles, which is the
+// baseline side of the BENCH_pr5.json overhead comparison.
+MetricsRegistry* ParseBenchArgs(int argc, char** argv,
+                                const std::vector<BenchFlag>& flags = {});
+
+// The registry handed out by ParseBenchArgs, or null. Thread this into
 // EvalOptions/CorpusConfig/TrainConfig and set_metrics calls; the workbench
 // builders do so themselves.
 MetricsRegistry* BenchMetrics();

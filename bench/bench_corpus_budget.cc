@@ -42,7 +42,7 @@ void Run(const char* label, const CorpusConfig& cfg, const GeneratedDb& data,
 }  // namespace
 
 int main(int argc, char** argv) {
-  InitBenchMetrics(&argc, argv);
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Corpus build under execution budgets (IMDB scale, seed 101)");
   const GeneratedDb data = MakeImdbDatabase({});

@@ -15,7 +15,8 @@
 using namespace lshap;
 using namespace lshap::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Extension: Banzhaf vs. Shapley attribution (IMDB)");
   const Workbench wb = MakeImdbWorkbench(pool);

@@ -68,7 +68,8 @@ ExtResult Measure(LearnShapleyRanker& ranker, const Corpus& corpus) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Extension: lineage-free candidate ranking via negative "
               "sampling (Academic)");

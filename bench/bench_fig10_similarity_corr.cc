@@ -57,7 +57,8 @@ void PrintSeries(const char* title,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Figure 10: NDCG@10 vs. nearest-query similarity (Academic)");
   const Workbench wb = MakeAcademicWorkbench(pool);

@@ -13,7 +13,8 @@
 using namespace lshap;
 using namespace lshap::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Figure 11: metrics vs. query-log fraction (Academic)");
   const Workbench wb = MakeAcademicWorkbench(pool);

@@ -36,7 +36,8 @@ void PrintHistogram(const char* title, const std::vector<double>& values) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Figure 12: partial NDCG on seen vs. unseen facts (Academic)");
   const Workbench wb = MakeAcademicWorkbench(pool);

@@ -74,7 +74,8 @@ void PrintDb(const Workbench& wb) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Figure 7: query-similarity heatmaps (ASCII rendering)");
   const Workbench imdb = MakeImdbWorkbench(pool);

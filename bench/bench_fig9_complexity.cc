@@ -46,7 +46,8 @@ void PrintBinned(const char* title, const std::map<size_t, std::vector<double>>&
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Figure 9: NDCG@10 vs. lineage size (a) and #joined tables (b) "
               "— Academic");

@@ -14,8 +14,8 @@
 // cancelled. A violation exits non-zero, which is what tools/check.sh's
 // `serve` smoke mode relies on.
 //
-// Usage: bench_serve [--smoke] [--clients=N] [--requests=N] [--quantized]
-//                    [--metrics-json=PATH]
+// Usage: bench_serve [--smoke] [--clients=N] [--requests=N] [--workers=N]
+//                    [--quantized] [--metrics-json=PATH]
 //
 // --quantized publishes the ranker in int8 SIMD inference mode (the float
 // model stays loaded as the conversion source), exercising the quantized
@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -358,28 +357,24 @@ int Run(const Options& opt, MetricsRegistry* metrics) {
 }  // namespace lshap
 
 int main(int argc, char** argv) {
-  lshap::MetricsRegistry* metrics = lshap::bench::InitBenchMetrics(&argc, argv);
+  lshap::Options opt;
+  const auto count = [](size_t* field) {
+    return [field](const char* v) {
+      *field = static_cast<size_t>(std::atol(v));
+    };
+  };
+  lshap::MetricsRegistry* metrics = lshap::bench::ParseBenchArgs(
+      argc, argv,
+      {{"--smoke",
+        [&opt](const char*) {
+          opt.clients = 3;
+          opt.requests_per_client = 60;
+        }},
+       {"--clients=", count(&opt.clients)},
+       {"--requests=", count(&opt.requests_per_client)},
+       {"--workers=", count(&opt.workers)},
+       {"--quantized", [&opt](const char*) { opt.quantized = true; }}});
   static lshap::MetricsRegistry local;
   if (metrics == nullptr) metrics = &local;
-
-  lshap::Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--smoke") == 0) {
-      opt.clients = 3;
-      opt.requests_per_client = 60;
-    } else if (std::strncmp(arg, "--clients=", 10) == 0) {
-      opt.clients = static_cast<size_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--requests=", 11) == 0) {
-      opt.requests_per_client = static_cast<size_t>(std::atol(arg + 11));
-    } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      opt.workers = static_cast<size_t>(std::atol(arg + 10));
-    } else if (std::strcmp(arg, "--quantized") == 0) {
-      opt.quantized = true;
-    } else {
-      std::printf("unknown flag: %s\n", arg);
-      return 2;
-    }
-  }
   return lshap::Run(opt, metrics);
 }

@@ -14,7 +14,6 @@
 // --smoke shrinks everything (few lineages, one budget, two seeds, no
 // deadline section) so CI can run the full code path in seconds.
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -260,11 +259,9 @@ void DeadlineLadderComparison(ThreadPool& pool) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  InitBenchMetrics(&argc, argv);
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+  ParseBenchArgs(argc, argv,
+                 {{"--smoke", [&smoke](const char*) { smoke = true; }}});
 
   ThreadPool pool;
   PrintHeader("Shapley estimator quality at matched budgets (IMDB corpus "

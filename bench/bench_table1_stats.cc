@@ -61,7 +61,7 @@ void PrintDb(const Workbench& wb) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  InitBenchMetrics(&argc, argv);
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Table 1: DBShap statistics (synthetic corpora; see DESIGN.md "
               "for scaling)");

@@ -37,7 +37,8 @@ void PrintDb(const Workbench& wb) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Table 2: average query similarities between splits");
   const Workbench imdb = MakeImdbWorkbench(pool);

@@ -96,7 +96,8 @@ void RunDb(const Workbench& wb, ThreadPool& pool) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Table 3: LearnShapley vs. Nearest Queries baselines and "
               "ablations");

@@ -11,7 +11,8 @@
 using namespace lshap;
 using namespace lshap::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Table 4: pre-training similarity-metric ablation (Academic)");
   const Workbench wb = MakeAcademicWorkbench(pool);

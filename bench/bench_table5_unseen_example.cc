@@ -10,7 +10,8 @@
 using namespace lshap;
 using namespace lshap::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  ParseBenchArgs(argc, argv);
   ThreadPool pool;
   PrintHeader("Table 5: ranking a lineage containing unseen facts (Academic)");
   const Workbench wb = MakeAcademicWorkbench(pool);

@@ -10,7 +10,6 @@
 // rows next to the float oracle rows.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench_common.h"
@@ -117,11 +116,9 @@ void TimePair(const LearnShapleyRanker& ranker, const Database& db,
 }  // namespace
 
 int main(int argc, char** argv) {
-  InitBenchMetrics(&argc, argv);
   bool quantized = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quantized") == 0) quantized = true;
-  }
+  const auto set_quantized = [&quantized](const char*) { quantized = true; };
+  ParseBenchArgs(argc, argv, {{"--quantized", set_quantized}});
   ThreadPool pool;
   PrintHeader("Table 6: inference time per (query, output tuple) pair [ms]");
   const Workbench wb = MakeAcademicWorkbench(pool);

@@ -314,18 +314,6 @@ Result<RawRecord> DecodeRawRecord(ByteReader& r, size_t num_db_facts) {
   return rec;
 }
 
-Result<CorpusEntry> DecodeCorpusEntry(ByteReader& r, const Database& db) {
-  auto raw = DecodeRawRecord(r, db.num_facts());
-  if (!raw.ok()) return raw.status();
-  auto query = ParseQuery(db, raw->sql, raw->query_id);
-  if (!query.ok()) return query.status();
-  CorpusEntry entry;
-  entry.query = std::move(*query);
-  entry.all_outputs = std::move(raw->all_outputs);
-  entry.contributions = std::move(raw->contributions);
-  return entry;
-}
-
 // --- ShardWriter ---
 
 struct ShardWriter::Impl {
@@ -579,25 +567,14 @@ Result<RawRecord> ShardReader::ReadRawRecord(size_t i,
 
 Result<CorpusEntry> ShardReader::ReadRecord(size_t i,
                                             const Database& db) const {
-  if (fault_ != nullptr) {
-    Status injected = fault_->OnSite(kSiteShardRecord);
-    if (!injected.ok()) return injected;
-  }
-  if (i >= footer_.record_offsets.size()) {
-    return Status::InvalidArgument(
-        StrFormat("record %zu out of range (shard has %zu)", i,
-                  footer_.record_offsets.size()));
-  }
-  const size_t begin = static_cast<size_t>(footer_.record_offsets[i]);
-  const size_t end = i + 1 < footer_.record_offsets.size()
-                         ? static_cast<size_t>(footer_.record_offsets[i + 1])
-                         : records_end_;
-  ByteReader r(buffer_.data() + begin, end - begin);
-  auto entry = DecodeCorpusEntry(r, db);
-  if (entry.ok() && r.remaining() != 0) {
-    return Status::InvalidArgument(
-        StrFormat("record %zu has %zu trailing bytes", i, r.remaining()));
-  }
+  auto raw = ReadRawRecord(i, db.num_facts());
+  if (!raw.ok()) return raw.status();
+  auto query = ParseQuery(db, raw->sql, raw->query_id);
+  if (!query.ok()) return query.status();
+  CorpusEntry entry;
+  entry.query = std::move(*query);
+  entry.all_outputs = std::move(raw->all_outputs);
+  entry.contributions = std::move(raw->contributions);
   return entry;
 }
 
@@ -750,6 +727,57 @@ Result<CorpusManifest> ReadManifest(const std::string& path) {
 
 std::string ShardFileName(const std::string& base, size_t shard_index) {
   return base + StrFormat(".shard%03zu", shard_index);
+}
+
+// --- Loading against a database. ---
+
+Result<uint64_t> CheckManifestDatabase(const CorpusManifest& manifest,
+                                       const std::string& path,
+                                       const Database& db) {
+  if (manifest.db_name != db.name() || manifest.db_facts != db.num_facts()) {
+    return Status::FailedPrecondition(
+        StrFormat("corpus was built over database '%s' (%zu facts), got "
+                  "'%s' (%zu facts)",
+                  manifest.db_name.c_str(),
+                  static_cast<size_t>(manifest.db_facts), db.name().c_str(),
+                  db.num_facts()));
+  }
+  const uint64_t fingerprint = FactTableFingerprint(db);
+  if (manifest.db_fingerprint != fingerprint) {
+    return Status::InvalidArgument(StrFormat(
+        "corpus manifest '%s' was built over a database with fact-table "
+        "fingerprint %016llx, but the given database fingerprints %016llx "
+        "— same name/size is not enough, the fact tables differ",
+        path.c_str(),
+        static_cast<unsigned long long>(manifest.db_fingerprint),
+        static_cast<unsigned long long>(fingerprint)));
+  }
+  return fingerprint;
+}
+
+Result<std::vector<CorpusEntry>> ReadShardEntries(
+    const Database& db, const CorpusManifest& manifest,
+    const std::string& path, size_t s, uint64_t fingerprint,
+    FaultInjector* fault) {
+  const std::string shard_path = ShardFileName(path, s);
+  auto reader = ShardReader::Open(shard_path, fingerprint, fault);
+  if (!reader.ok()) return reader.status();
+  const size_t expected = static_cast<size_t>(manifest.shard_entries[s]);
+  if (reader->footer().shard_index != s || reader->num_records() != expected) {
+    return Status::InvalidArgument(StrFormat(
+        "corpus shard '%s' does not match its manifest (shard %u with %zu "
+        "records, manifest expects shard %zu with %zu records)",
+        shard_path.c_str(), reader->footer().shard_index,
+        reader->num_records(), s, expected));
+  }
+  std::vector<CorpusEntry> entries;
+  entries.reserve(reader->num_records());
+  for (size_t i = 0; i < reader->num_records(); ++i) {
+    auto entry = reader->ReadRecord(i, db);
+    if (!entry.ok()) return entry.status();
+    entries.push_back(std::move(*entry));
+  }
+  return entries;
 }
 
 }  // namespace lshap

@@ -119,9 +119,6 @@ struct RawRecord {
 // `num_db_facts`; any malformed field fails with kInvalidArgument.
 Result<RawRecord> DecodeRawRecord(ByteReader& reader, size_t num_db_facts);
 
-// Full decode: raw record plus query re-parse against `db`.
-Result<CorpusEntry> DecodeCorpusEntry(ByteReader& reader, const Database& db);
-
 // --- Shard files. ---
 
 // Everything a shard's footer records about its payload.
@@ -190,6 +187,9 @@ class ShardReader {
   size_t num_records() const { return footer_.record_offsets.size(); }
   uint64_t file_bytes() const { return buffer_.size(); }
 
+  // Record i: ReadRawRecord checks it (a kSiteShardRecord poll, the index,
+  // the record's bounds, no trailing bytes); ReadRecord then re-parses its
+  // query against `db`.
   Result<CorpusEntry> ReadRecord(size_t i, const Database& db) const;
   Result<RawRecord> ReadRawRecord(size_t i, size_t num_db_facts) const;
 
@@ -230,6 +230,26 @@ Result<CorpusManifest> ReadManifest(const std::string& path);
 
 // Canonical shard file name: "<base>.shard000", "<base>.shard001", ...
 std::string ShardFileName(const std::string& base, size_t shard_index);
+
+// --- Loading against a database (corpus/io.h and corpus/stream.h). ---
+
+// Checks that `manifest`, read from `path`, was built over `db`: the same
+// name and fact count (else kFailedPrecondition), then the same fact-table
+// fingerprint (else kInvalidArgument). Returns db's fingerprint, which every
+// shard footer must match.
+Result<uint64_t> CheckManifestDatabase(const CorpusManifest& manifest,
+                                       const std::string& path,
+                                       const Database& db);
+
+// Opens shard `s` of the corpus at `path` (ShardReader::Open checks its
+// checksum and `fingerprint`), checks the footer's shard index and record
+// count against `manifest`, and decodes every record against `db`. Fails
+// without a partial result: a shard is the unit a quarantine load skips.
+// `fault` is polled as ShardReader polls it (open, then each record).
+Result<std::vector<CorpusEntry>> ReadShardEntries(
+    const Database& db, const CorpusManifest& manifest,
+    const std::string& path, size_t s, uint64_t fingerprint,
+    FaultInjector* fault);
 
 }  // namespace lshap
 

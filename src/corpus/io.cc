@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 
-#include "common/strings.h"
 #include "corpus/format.h"
 
 namespace lshap {
@@ -54,39 +53,6 @@ Result<Corpus> LoadCorpusShards(const Database* db, const std::string& path) {
   return LoadCorpusShards(db, path, ShardLoadOptions{}, nullptr);
 }
 
-namespace {
-
-// Loads every record of one shard, fully validated, or fails without
-// touching the output corpus — the unit quarantine mode skips.
-Result<std::vector<CorpusEntry>> LoadOneShard(const Database& db,
-                                              const std::string& shard_path,
-                                              uint64_t fingerprint,
-                                              size_t shard_index,
-                                              uint64_t expected_records,
-                                              FaultInjector* fault) {
-  auto reader = ShardReader::Open(shard_path, fingerprint, fault);
-  if (!reader.ok()) return reader.status();
-  if (reader->footer().shard_index != shard_index ||
-      reader->num_records() != expected_records) {
-    return Status::InvalidArgument(StrFormat(
-        "corpus shard '%s' does not match its manifest (shard %u with "
-        "%zu records, manifest expects shard %zu with %zu records)",
-        shard_path.c_str(), reader->footer().shard_index,
-        reader->num_records(), shard_index,
-        static_cast<size_t>(expected_records)));
-  }
-  std::vector<CorpusEntry> entries;
-  entries.reserve(reader->num_records());
-  for (size_t i = 0; i < reader->num_records(); ++i) {
-    auto entry = reader->ReadRecord(i, db);
-    if (!entry.ok()) return entry.status();
-    entries.push_back(std::move(*entry));
-  }
-  return entries;
-}
-
-}  // namespace
-
 Result<Corpus> LoadCorpusShards(const Database* db, const std::string& path,
                                 const ShardLoadOptions& options,
                                 ShardLoadReport* report) {
@@ -95,22 +61,8 @@ Result<Corpus> LoadCorpusShards(const Database* db, const std::string& path,
   auto manifest = ReadManifest(path);
   if (!manifest.ok()) return manifest.status();
   const CorpusManifest& m = *manifest;
-  if (m.db_name != db->name() || m.db_facts != db->num_facts()) {
-    return Status::FailedPrecondition(
-        StrFormat("corpus was built over database '%s' (%zu facts), got "
-                  "'%s' (%zu facts)",
-                  m.db_name.c_str(), static_cast<size_t>(m.db_facts),
-                  db->name().c_str(), db->num_facts()));
-  }
-  const uint64_t fingerprint = FactTableFingerprint(*db);
-  if (m.db_fingerprint != fingerprint) {
-    return Status::InvalidArgument(StrFormat(
-        "corpus manifest '%s' was built over a database with fact-table "
-        "fingerprint %016llx, but the given database fingerprints %016llx "
-        "— same name/size is not enough, the fact tables differ",
-        path.c_str(), static_cast<unsigned long long>(m.db_fingerprint),
-        static_cast<unsigned long long>(fingerprint)));
-  }
+  auto fingerprint = CheckManifestDatabase(m, path, *db);
+  if (!fingerprint.ok()) return fingerprint.status();
 
   Corpus corpus;
   corpus.db = db;
@@ -122,9 +74,8 @@ Result<Corpus> LoadCorpusShards(const Database* db, const std::string& path,
   std::vector<size_t> loaded_base(m.num_shards(), kDropped);
   bool any_skipped = false;
   for (size_t s = 0; s < m.num_shards(); ++s) {
-    const std::string shard_path = ShardFileName(path, s);
-    auto entries = LoadOneShard(*db, shard_path, fingerprint, s,
-                                m.shard_entries[s], options.fault);
+    auto entries =
+        ReadShardEntries(*db, m, path, s, *fingerprint, options.fault);
     if (!entries.ok()) {
       if (options.strict) return entries.status();
       any_skipped = true;

@@ -41,30 +41,13 @@ Result<ShardedCorpusStream> ShardedCorpusStream::Open(
   if (db == nullptr) return Status::InvalidArgument("null database");
   auto manifest = ReadManifest(path);
   if (!manifest.ok()) return manifest.status();
-  if (manifest->db_name != db->name() ||
-      manifest->db_facts != db->num_facts()) {
-    return Status::FailedPrecondition(
-        StrFormat("corpus was built over database '%s' (%zu facts), got "
-                  "'%s' (%zu facts)",
-                  manifest->db_name.c_str(),
-                  static_cast<size_t>(manifest->db_facts),
-                  db->name().c_str(), db->num_facts()));
-  }
-  const uint64_t fingerprint = FactTableFingerprint(*db);
-  if (manifest->db_fingerprint != fingerprint) {
-    return Status::InvalidArgument(StrFormat(
-        "corpus manifest '%s' was built over a database with fact-table "
-        "fingerprint %016llx, but the given database fingerprints %016llx "
-        "— same name/size is not enough, the fact tables differ",
-        path.c_str(),
-        static_cast<unsigned long long>(manifest->db_fingerprint),
-        static_cast<unsigned long long>(fingerprint)));
-  }
+  auto fingerprint = CheckManifestDatabase(*manifest, path, *db);
+  if (!fingerprint.ok()) return fingerprint.status();
 
   ShardedCorpusStream stream;
   stream.db_ = db;
   stream.path_ = path;
-  stream.fingerprint_ = fingerprint;
+  stream.fingerprint_ = *fingerprint;
   stream.manifest_ = std::move(*manifest);
   stream.bases_.reserve(stream.manifest_.num_shards());
   size_t base = 0;
@@ -86,28 +69,12 @@ Result<CorpusSlice> ShardedCorpusStream::ReadShard(size_t s) const {
     Status injected = fault_->OnSite(kSiteStreamRead);
     if (!injected.ok()) return injected;
   }
-  const std::string shard_path = ShardFileName(path_, s);
-  auto reader = ShardReader::Open(shard_path, fingerprint_, fault_);
-  if (!reader.ok()) return reader.status();
-  if (reader->footer().shard_index != s ||
-      reader->num_records() !=
-          static_cast<size_t>(manifest_.shard_entries[s])) {
-    return Status::InvalidArgument(StrFormat(
-        "corpus shard '%s' does not match its manifest (shard %u with %zu "
-        "records, manifest expects shard %zu with %zu records)",
-        shard_path.c_str(), reader->footer().shard_index,
-        reader->num_records(), s,
-        static_cast<size_t>(manifest_.shard_entries[s])));
-  }
-
+  auto entries =
+      ReadShardEntries(*db_, manifest_, path_, s, fingerprint_, fault_);
+  if (!entries.ok()) return entries.status();
   auto chunk = std::make_unique<Corpus>();
   chunk->db = db_;
-  chunk->entries.reserve(reader->num_records());
-  for (size_t i = 0; i < reader->num_records(); ++i) {
-    auto entry = reader->ReadRecord(i, *db_);
-    if (!entry.ok()) return entry.status();
-    chunk->entries.push_back(std::move(*entry));
-  }
+  chunk->entries = std::move(*entries);
 
   const size_t n = chunk->entries.size();
   std::shared_ptr<ResidentCounter> counter = counter_;

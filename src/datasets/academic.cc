@@ -1,9 +1,7 @@
 #include "datasets/academic.h"
 
 #include <iterator>
-#include <span>
 #include <string>
-#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -109,31 +107,24 @@ GeneratedDb MakeAcademicDatabase(const AcademicConfig& config) {
                                    {"did", ColumnType::kInt}}))
                   .ok());
 
-  // Organizations — no RNG involved, so this table uses the pure
-  // column-at-a-time ingest shape (see relational/table.h); the RNG-driven
-  // tables below stage RowBatches to keep their per-row draw order.
+  // Organizations. Every table is staged into a RowBatch and committed in
+  // one Database::Append (see relational/table.h); the RNG-driven tables
+  // below keep their per-row draw order that way.
   {
-    TableAppender organizations = db->AppenderFor("organization");
-    std::vector<int64_t> ids(config.num_organizations);
-    std::vector<std::string> names;
-    names.reserve(config.num_organizations);
+    RowBatch batch = db->BatchFor("organization");
     for (size_t i = 0; i < config.num_organizations; ++i) {
-      ids[i] = static_cast<int64_t>(i);
       std::string name = kOrgStems[i % std::size(kOrgStems)];
       if (i >= std::size(kOrgStems)) {
         name += StrFormat(" Campus %zu", i / std::size(kOrgStems) + 1);
       }
-      names.push_back(std::move(name));
+      batch.Begin().Int(static_cast<int64_t>(i)).Str(name).End();
     }
-    organizations.AppendColumn(0, std::span<const int64_t>(ids))
-        .AppendColumn(1, std::span<const std::string>(names))
-        .CommitRows();
+    db->Append(batch);
   }
 
   // Authors.
   {
-    TableAppender authors = db->AppenderFor("author");
-    RowBatch batch(authors.schema());
+    RowBatch batch = db->BatchFor("author");
     for (size_t i = 0; i < config.num_authors; ++i) {
       std::string name =
           std::string(kAuthorFirst[rng.NextBounded(std::size(kAuthorFirst))]) +
@@ -156,43 +147,33 @@ GeneratedDb MakeAcademicDatabase(const AcademicConfig& config) {
       }
       batch.End();
     }
-    authors.Append(batch);
+    db->Append(batch);
   }
 
-  // Conferences, domains and their many-to-many bridge. The first two are
-  // RNG-free: columnar ingest again.
+  // Conferences, domains and their many-to-many bridge.
   {
-    TableAppender conferences = db->AppenderFor("conference");
-    std::vector<int64_t> ids(config.num_conferences);
-    std::vector<std::string> names;
-    names.reserve(config.num_conferences);
+    RowBatch batch = db->BatchFor("conference");
     for (size_t i = 0; i < config.num_conferences; ++i) {
-      ids[i] = static_cast<int64_t>(i);
       std::string name = kConfStems[i % std::size(kConfStems)];
       if (i >= std::size(kConfStems)) {
         name += StrFormat(" Workshop %zu", i / std::size(kConfStems));
       }
-      names.push_back(std::move(name));
+      batch.Begin().Int(static_cast<int64_t>(i)).Str(name).End();
     }
-    conferences.AppendColumn(0, std::span<const int64_t>(ids))
-        .AppendColumn(1, std::span<const std::string>(names))
-        .CommitRows();
+    db->Append(batch);
   }
   {
-    TableAppender domains = db->AppenderFor("domain");
-    std::vector<int64_t> ids(config.num_domains);
-    std::vector<std::string_view> names(config.num_domains);
+    RowBatch batch = db->BatchFor("domain");
     for (size_t i = 0; i < config.num_domains; ++i) {
-      ids[i] = static_cast<int64_t>(i);
-      names[i] = kDomainNames[i % std::size(kDomainNames)];
+      batch.Begin()
+          .Int(static_cast<int64_t>(i))
+          .Str(kDomainNames[i % std::size(kDomainNames)])
+          .End();
     }
-    domains.AppendColumn(0, std::span<const int64_t>(ids))
-        .AppendColumn(1, std::span<const std::string_view>(names))
-        .CommitRows();
+    db->Append(batch);
   }
   {
-    TableAppender bridge = db->AppenderFor("domain_conference");
-    RowBatch batch(bridge.schema());
+    RowBatch batch = db->BatchFor("domain_conference");
     std::unordered_set<uint64_t> seen;
     size_t attempts = 0;
     while (batch.num_rows() < config.num_domain_conference &&
@@ -206,14 +187,13 @@ GeneratedDb MakeAcademicDatabase(const AcademicConfig& config) {
           .Int(static_cast<int64_t>(did))
           .End();
     }
-    bridge.Append(batch);
+    db->Append(batch);
   }
 
   // Publications, with Zipf-skewed conference popularity.
   ZipfSampler conf_sampler(config.num_conferences, config.conference_zipf);
   {
-    TableAppender publications = db->AppenderFor("publication");
-    RowBatch batch(publications.schema());
+    RowBatch batch = db->BatchFor("publication");
     for (size_t i = 0; i < config.num_publications; ++i) {
       std::string title =
           std::string(
@@ -237,14 +217,13 @@ GeneratedDb MakeAcademicDatabase(const AcademicConfig& config) {
       }
       batch.End();
     }
-    publications.Append(batch);
+    db->Append(batch);
   }
 
   // Authorship, with Zipf-skewed author productivity.
   ZipfSampler author_sampler(config.num_authors, config.author_zipf);
   {
-    TableAppender writes = db->AppenderFor("writes");
-    RowBatch batch(writes.schema());
+    RowBatch batch = db->BatchFor("writes");
     std::unordered_set<uint64_t> seen;
     size_t attempts = 0;
     while (batch.num_rows() < config.num_writes &&
@@ -258,7 +237,7 @@ GeneratedDb MakeAcademicDatabase(const AcademicConfig& config) {
           .Int(static_cast<int64_t>(pub))
           .End();
     }
-    writes.Append(batch);
+    db->Append(batch);
   }
 
   // Ingest is complete: freeze the dictionary so ordered/prefix string

@@ -72,16 +72,15 @@ GeneratedDb MakeImdbDatabase(const ImdbConfig& config) {
                                             {"actor", ColumnType::kString}}))
                   .ok());
 
-  // Companies. Each table is staged into a RowBatch and appended in one
-  // call — the batch ingest path (see relational/table.h). The RNG draws
-  // stay interleaved exactly as the old row-at-a-time loops made them, so
+  // Companies. Each table is staged into a RowBatch and committed in one
+  // Database::Append (see relational/table.h). The RNG draws stay
+  // interleaved exactly as the old row-at-a-time loops made them, so
   // generated content is unchanged.
-  TableAppender companies = db->AppenderFor("companies");
   std::vector<std::string> company_names;
   company_names.reserve(config.num_companies);
   constexpr size_t kNumStems = std::size(kCompanyStems);
   {
-    RowBatch batch(companies.schema());
+    RowBatch batch = db->BatchFor("companies");
     for (size_t i = 0; i < config.num_companies; ++i) {
       std::string name = kCompanyStems[i % kNumStems];
       if (i >= kNumStems) name += StrFormat(" %zu", i / kNumStems + 1);
@@ -94,15 +93,14 @@ GeneratedDb MakeImdbDatabase(const ImdbConfig& config) {
       batch.End();
       company_names.push_back(std::move(name));
     }
-    companies.Append(batch);
+    db->Append(batch);
   }
 
   // Actors.
-  TableAppender actors = db->AppenderFor("actors");
   std::vector<std::string> actor_names;
   actor_names.reserve(config.num_actors);
   {
-    RowBatch batch(actors.schema());
+    RowBatch batch = db->BatchFor("actors");
     for (size_t i = 0; i < config.num_actors; ++i) {
       std::string name =
           std::string(kFirstNames[rng.NextBounded(std::size(kFirstNames))]) +
@@ -117,16 +115,15 @@ GeneratedDb MakeImdbDatabase(const ImdbConfig& config) {
       batch.End();
       actor_names.push_back(std::move(name));
     }
-    actors.Append(batch);
+    db->Append(batch);
   }
 
   // Movies, with Zipf-skewed company popularity.
-  TableAppender movies = db->AppenderFor("movies");
   ZipfSampler company_sampler(config.num_companies, config.company_zipf);
   std::vector<std::string> movie_titles;
   movie_titles.reserve(config.num_movies);
   {
-    RowBatch batch(movies.schema());
+    RowBatch batch = db->BatchFor("movies");
     for (size_t i = 0; i < config.num_movies; ++i) {
       std::string title =
           std::string(
@@ -145,15 +142,14 @@ GeneratedDb MakeImdbDatabase(const ImdbConfig& config) {
       batch.Str(company).End();
       movie_titles.push_back(std::move(title));
     }
-    movies.Append(batch);
+    db->Append(batch);
   }
 
   // Roles, with Zipf-skewed actor popularity; duplicates are skipped.
-  TableAppender roles = db->AppenderFor("roles");
   ZipfSampler actor_sampler(config.num_actors, config.actor_zipf);
   std::unordered_set<std::string> seen_roles;
   {
-    RowBatch batch(roles.schema());
+    RowBatch batch = db->BatchFor("roles");
     size_t attempts = 0;
     while (batch.num_rows() < config.num_roles &&
            attempts < config.num_roles * 10) {
@@ -164,7 +160,7 @@ GeneratedDb MakeImdbDatabase(const ImdbConfig& config) {
       if (!seen_roles.insert(movie + "\x1f" + actor).second) continue;
       batch.Begin().Str(movie).Str(actor).End();
     }
-    roles.Append(batch);
+    db->Append(batch);
   }
 
   // Ingest is complete: freeze the dictionary so ordered/prefix string

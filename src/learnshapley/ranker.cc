@@ -73,30 +73,13 @@ double LearnShapleyRanker::PredictEncoded(const EncodedPair& input) const {
 ShapleyValues LearnShapleyRanker::ScoreLineage(
     const Database& db, const Query& q, const OutputTuple& t,
     const std::vector<FactId>& lineage) const {
-  const auto start = score_seconds_.enabled()
-                         ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point{};
-  // Encode the (query, tuple) context once; only the fact segment differs
-  // across the tuple's lineage.
-  const std::vector<std::string> t_tokens = TupleTokens(t);
-  const std::vector<int> q_ids = EncodeTokens(*vocab_, QueryTokens(q));
-  const std::vector<int> t_ids = EncodeTokens(*vocab_, t_tokens);
-  ShapleyValues out;
-  out.reserve(lineage.size());
-  for (FactId f : lineage) {
-    const std::vector<int> f_ids =
-        EncodeTokens(*vocab_, FactTokensWithContext(db, f, t_tokens));
-    const EncodedPair input =
-        AssembleEncodedSegments({&q_ids, &t_ids, &f_ids}, max_len_);
-    out[f] = PredictEncoded(input);
-  }
-  facts_scored_.Inc(lineage.size());
-  if (score_seconds_.enabled()) {
-    score_seconds_.Observe(std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count());
-  }
-  return out;
+  // An unlimited budget never trips, so this is the budgeted loop minus
+  // the early exit.
+  ExecutionBudget unlimited = ExecutionBudget::Unlimited();
+  Result<ShapleyValues> scores =
+      ScoreLineageBudgeted(db, q, t, lineage, unlimited);
+  LSHAP_CHECK(scores.ok());
+  return std::move(scores).value();
 }
 
 Result<ShapleyValues> LearnShapleyRanker::ScoreLineageBudgeted(
@@ -105,6 +88,8 @@ Result<ShapleyValues> LearnShapleyRanker::ScoreLineageBudgeted(
   const auto start = score_seconds_.enabled()
                          ? std::chrono::steady_clock::now()
                          : std::chrono::steady_clock::time_point{};
+  // Encode the (query, tuple) context once; only the fact segment differs
+  // across the tuple's lineage.
   const std::vector<std::string> t_tokens = TupleTokens(t);
   const std::vector<int> q_ids = EncodeTokens(*vocab_, QueryTokens(q));
   const std::vector<int> t_ids = EncodeTokens(*vocab_, t_tokens);

@@ -15,12 +15,6 @@ Status Database::AddTable(Schema schema) {
   return Status::Ok();
 }
 
-FactId Database::RegisterFact(uint32_t table_index, uint32_t row_index) {
-  const FactId id = static_cast<FactId>(fact_locations_.size());
-  fact_locations_.push_back({table_index, row_index});
-  return id;
-}
-
 Result<FactId> Database::Insert(const std::string& table_name,
                                 std::vector<Value> values) {
   auto idx = TableIndex(table_name);
@@ -49,33 +43,78 @@ Result<FactId> Database::Insert(const std::string& table_name,
           ColumnTypeName(want), v.ToString().c_str()));
     }
   }
-  TableAppender appender(this, *idx);
-  appender.Begin();
+  RowBatch batch(schema);
+  batch.Begin();
   for (size_t c = 0; c < values.size(); ++c) {
     const Value& v = values[c];
     if (v.is_null()) {
-      appender.Null();
+      batch.Null();
       continue;
     }
     switch (schema.columns()[c].type) {
       case ColumnType::kInt:
-        appender.Int(v.AsInt());
+        batch.Int(v.AsInt());
         break;
       case ColumnType::kDouble:
-        appender.Real(v.AsDouble());
+        batch.Real(v.AsDouble());
         break;
       case ColumnType::kString:
-        appender.Str(v.AsString());
+        batch.Str(v.AsString());
         break;
     }
   }
-  return appender.Commit();
+  batch.End();
+  return Append(batch)[0];
 }
 
-TableAppender Database::AppenderFor(const std::string& table_name) {
-  auto idx = TableIndex(table_name);
+RowBatch Database::BatchFor(const std::string& table_name) const {
+  auto table = FindTable(table_name);
+  LSHAP_CHECK(table.ok());
+  return RowBatch((*table)->schema());
+}
+
+std::vector<FactId> Database::Append(const RowBatch& batch) {
+  auto idx = TableIndex(batch.schema().table_name());
   LSHAP_CHECK(idx.ok());
-  return TableAppender(this, *idx);
+  Table& table = tables_[*idx];
+  const size_t num_columns = table.num_columns();
+  const size_t num_rows = batch.num_rows();
+  LSHAP_CHECK_EQ(batch.schema().num_columns(), num_columns);
+  for (size_t c = 0; c < num_columns; ++c) {
+    LSHAP_CHECK(batch.schema().columns()[c].type == table.columns_[c].type());
+    LSHAP_CHECK_EQ(batch.columns_[c].cells(), num_rows);  // rectangular
+  }
+  for (size_t c = 0; c < num_columns; ++c) {
+    const RowBatch::ColumnBuffer& buf = batch.columns_[c];
+    ColumnData& col = table.columns_[c];
+    for (size_t r = 0; r < num_rows; ++r) {
+      if (!buf.validity.empty() && buf.validity[r] == 0) {
+        col.AppendNull();
+        continue;
+      }
+      switch (col.type()) {
+        case ColumnType::kInt:
+          col.AppendInt(buf.ints[r]);
+          break;
+        case ColumnType::kDouble:
+          col.AppendDouble(buf.reals[r]);
+          break;
+        case ColumnType::kString:
+          col.AppendString(pool_.Intern(buf.strs[r]));
+          break;
+      }
+    }
+  }
+  std::vector<FactId> ids;
+  ids.reserve(num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    const FactId id = static_cast<FactId>(fact_locations_.size());
+    fact_locations_.push_back(
+        {*idx, static_cast<uint32_t>(table.fact_ids_.size())});
+    table.fact_ids_.push_back(id);
+    ids.push_back(id);
+  }
+  return ids;
 }
 
 Result<const Table*> Database::FindTable(const std::string& name) const {

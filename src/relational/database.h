@@ -41,13 +41,24 @@ class Database {
 
   // Appends a row through the Value boundary; values must match the schema's
   // arity and column types (ints promote into kDouble columns; Value::Null()
-  // is accepted for any column type and stores a NULL cell). Returns the new
-  // fact's id.
+  // is accepted for any column type and stores a NULL cell). The whole row
+  // is checked before anything is written, so a rejected row leaves the
+  // table unchanged; an accepted one is committed as a one-row RowBatch.
+  // Returns the new fact's id.
   Result<FactId> Insert(const std::string& table_name,
                         std::vector<Value> values);
 
-  // Typed bulk-append cursor for `table_name` (CHECK-fails if unknown).
-  TableAppender AppenderFor(const std::string& table_name);
+  // An empty RowBatch over `table_name`'s schema (CHECK-fails if unknown).
+  RowBatch BatchFor(const std::string& table_name) const;
+
+  // Commits `batch` to the table its schema names and returns the new fact
+  // ids in row order — the one path by which rows enter a table. Columns
+  // are flushed in schema order, each top to bottom (so strings are interned
+  // column by column), and then one fact is registered per row. CHECK-fails
+  // before writing anything if the table is unknown, the batch's column
+  // types differ from the table's, or a column holds a cell count other
+  // than num_rows() (an unfinished last row).
+  std::vector<FactId> Append(const RowBatch& batch);
 
   size_t num_tables() const { return tables_.size(); }
   size_t num_facts() const { return fact_locations_.size(); }
@@ -66,14 +77,10 @@ class Database {
   std::string FactToString(FactId id) const;
 
  private:
-  friend class TableAppender;
-
   struct FactLocation {
     uint32_t table_index;
     uint32_t row_index;
   };
-
-  FactId RegisterFact(uint32_t table_index, uint32_t row_index);
 
   std::string name_;
   StringPool pool_;

@@ -1,7 +1,6 @@
 #include "relational/table.h"
 
 #include "common/check.h"
-#include "relational/database.h"
 
 namespace lshap {
 
@@ -20,274 +19,6 @@ std::vector<Value> Table::DecodeRow(size_t row) const {
   return values;
 }
 
-TableAppender::TableAppender(Database* db, uint32_t table_index)
-    : db_(db),
-      table_index_(table_index),
-      // "Complete row" state, so the first Begin() passes its check.
-      next_col_(db->tables_[table_index].num_columns()),
-      staged_(db->tables_[table_index].num_columns(), 0) {}
-
-Table& TableAppender::table() { return db_->tables_[table_index_]; }
-
-const Schema& TableAppender::schema() const {
-  return db_->tables_[table_index_].schema();
-}
-
-TableAppender& TableAppender::Begin() {
-  Table& t = table();
-  LSHAP_CHECK_EQ(next_col_, t.num_columns());  // previous row complete
-  next_col_ = 0;
-  return *this;
-}
-
-TableAppender& TableAppender::Int(int64_t v) {
-  Table& t = table();
-  LSHAP_CHECK_LT(next_col_, t.num_columns());
-  ColumnData& col = t.columns_[next_col_];
-  if (col.type() == ColumnType::kDouble) {
-    col.AppendDouble(static_cast<double>(v));
-  } else {
-    col.AppendInt(v);
-  }
-  staged_[next_col_++] += 1;
-  return *this;
-}
-
-TableAppender& TableAppender::Real(double v) {
-  Table& t = table();
-  LSHAP_CHECK_LT(next_col_, t.num_columns());
-  t.columns_[next_col_].AppendDouble(v);
-  staged_[next_col_++] += 1;
-  return *this;
-}
-
-TableAppender& TableAppender::Str(std::string_view s) {
-  Table& t = table();
-  LSHAP_CHECK_LT(next_col_, t.num_columns());
-  t.columns_[next_col_].AppendString(db_->pool_.Intern(s));
-  staged_[next_col_++] += 1;
-  return *this;
-}
-
-TableAppender& TableAppender::Null() {
-  Table& t = table();
-  LSHAP_CHECK_LT(next_col_, t.num_columns());
-  t.columns_[next_col_].AppendNull();
-  staged_[next_col_++] += 1;
-  return *this;
-}
-
-FactId TableAppender::Commit() {
-  // Thin wrapper: one fully-staged row, committed through the batch path.
-  LSHAP_CHECK_EQ(next_col_, table().num_columns());
-  std::vector<FactId> ids = CommitRows();
-  LSHAP_CHECK_EQ(ids.size(), size_t{1});
-  return ids[0];
-}
-
-TableAppender& TableAppender::AppendColumn(size_t col,
-                                           std::span<const int64_t> values) {
-  Table& t = table();
-  LSHAP_CHECK_EQ(next_col_, t.num_columns());  // no row open
-  LSHAP_CHECK_LT(col, t.num_columns());
-  ColumnData& data = t.columns_[col];
-  if (data.type() == ColumnType::kDouble) {
-    for (int64_t v : values) data.AppendDouble(static_cast<double>(v));
-  } else {
-    for (int64_t v : values) data.AppendInt(v);
-  }
-  staged_[col] += values.size();
-  return *this;
-}
-
-TableAppender& TableAppender::AppendColumn(size_t col,
-                                           std::span<const double> values) {
-  Table& t = table();
-  LSHAP_CHECK_EQ(next_col_, t.num_columns());
-  LSHAP_CHECK_LT(col, t.num_columns());
-  ColumnData& data = t.columns_[col];
-  for (double v : values) data.AppendDouble(v);
-  staged_[col] += values.size();
-  return *this;
-}
-
-TableAppender& TableAppender::AppendColumn(
-    size_t col, std::span<const std::string_view> values) {
-  Table& t = table();
-  LSHAP_CHECK_EQ(next_col_, t.num_columns());
-  LSHAP_CHECK_LT(col, t.num_columns());
-  ColumnData& data = t.columns_[col];
-  for (std::string_view v : values) data.AppendString(db_->pool_.Intern(v));
-  staged_[col] += values.size();
-  return *this;
-}
-
-TableAppender& TableAppender::AppendColumn(
-    size_t col, std::span<const std::string> values) {
-  Table& t = table();
-  LSHAP_CHECK_EQ(next_col_, t.num_columns());
-  LSHAP_CHECK_LT(col, t.num_columns());
-  ColumnData& data = t.columns_[col];
-  for (const std::string& v : values) {
-    data.AppendString(db_->pool_.Intern(v));
-  }
-  staged_[col] += values.size();
-  return *this;
-}
-
-TableAppender& TableAppender::AppendNullableColumn(
-    size_t col, std::span<const int64_t> values,
-    std::span<const uint8_t> validity) {
-  Table& t = table();
-  LSHAP_CHECK_EQ(next_col_, t.num_columns());  // no row open
-  LSHAP_CHECK_LT(col, t.num_columns());
-  LSHAP_CHECK_EQ(values.size(), validity.size());
-  ColumnData& data = t.columns_[col];
-  if (data.type() == ColumnType::kDouble) {
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (validity[i] != 0) {
-        data.AppendDouble(static_cast<double>(values[i]));
-      } else {
-        data.AppendNull();
-      }
-    }
-  } else {
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (validity[i] != 0) {
-        data.AppendInt(values[i]);
-      } else {
-        data.AppendNull();
-      }
-    }
-  }
-  staged_[col] += values.size();
-  return *this;
-}
-
-TableAppender& TableAppender::AppendNullableColumn(
-    size_t col, std::span<const double> values,
-    std::span<const uint8_t> validity) {
-  Table& t = table();
-  LSHAP_CHECK_EQ(next_col_, t.num_columns());
-  LSHAP_CHECK_LT(col, t.num_columns());
-  LSHAP_CHECK_EQ(values.size(), validity.size());
-  ColumnData& data = t.columns_[col];
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (validity[i] != 0) {
-      data.AppendDouble(values[i]);
-    } else {
-      data.AppendNull();
-    }
-  }
-  staged_[col] += values.size();
-  return *this;
-}
-
-TableAppender& TableAppender::AppendNullableColumn(
-    size_t col, std::span<const std::string_view> values,
-    std::span<const uint8_t> validity) {
-  Table& t = table();
-  LSHAP_CHECK_EQ(next_col_, t.num_columns());
-  LSHAP_CHECK_LT(col, t.num_columns());
-  LSHAP_CHECK_EQ(values.size(), validity.size());
-  ColumnData& data = t.columns_[col];
-  for (size_t i = 0; i < values.size(); ++i) {
-    // Null slots are not interned: the placeholder value never reaches the
-    // string pool, so a batch with nulls interns exactly its valid strings.
-    if (validity[i] != 0) {
-      data.AppendString(db_->pool_.Intern(values[i]));
-    } else {
-      data.AppendNull();
-    }
-  }
-  staged_[col] += values.size();
-  return *this;
-}
-
-TableAppender& TableAppender::AppendNullableColumn(
-    size_t col, std::span<const std::string> values,
-    std::span<const uint8_t> validity) {
-  Table& t = table();
-  LSHAP_CHECK_EQ(next_col_, t.num_columns());
-  LSHAP_CHECK_LT(col, t.num_columns());
-  LSHAP_CHECK_EQ(values.size(), validity.size());
-  ColumnData& data = t.columns_[col];
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (validity[i] != 0) {
-      data.AppendString(db_->pool_.Intern(values[i]));
-    } else {
-      data.AppendNull();
-    }
-  }
-  staged_[col] += values.size();
-  return *this;
-}
-
-std::vector<FactId> TableAppender::CommitRows() {
-  Table& t = table();
-  LSHAP_CHECK_EQ(next_col_, t.num_columns());  // no row open
-  const size_t new_rows = staged_.empty() ? 0 : staged_[0];
-  for (size_t c = 0; c < staged_.size(); ++c) {
-    LSHAP_CHECK_EQ(staged_[c], new_rows);  // rectangular batch
-    staged_[c] = 0;
-  }
-  std::vector<FactId> ids;
-  RegisterRows(new_rows, &ids);
-  return ids;
-}
-
-void TableAppender::RegisterRows(size_t new_rows, std::vector<FactId>* out) {
-  Table& t = table();
-  out->reserve(new_rows);
-  for (size_t i = 0; i < new_rows; ++i) {
-    const uint32_t row = static_cast<uint32_t>(t.fact_ids_.size());
-    const FactId id = db_->RegisterFact(table_index_, row);
-    t.fact_ids_.push_back(id);
-    out->push_back(id);
-  }
-}
-
-std::vector<FactId> TableAppender::Append(const RowBatch& batch) {
-  Table& t = table();
-  const Schema& schema = t.schema();
-  LSHAP_CHECK_EQ(batch.schema_.num_columns(), schema.num_columns());
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    LSHAP_CHECK(batch.schema_.columns()[c].type == schema.columns()[c].type);
-    const RowBatch::ColumnBuffer& buf = batch.columns_[c];
-    // All-valid buffers (empty validity) flush through the plain AppendColumn
-    // path, so batches that never staged a Null are byte-identical to the
-    // pre-null behavior; nullable buffers go through the validity-span path.
-    const std::span<const uint8_t> validity(buf.validity);
-    switch (schema.columns()[c].type) {
-      case ColumnType::kInt:
-        if (validity.empty()) {
-          AppendColumn(c, std::span<const int64_t>(buf.ints));
-        } else {
-          AppendNullableColumn(c, std::span<const int64_t>(buf.ints),
-                               validity);
-        }
-        break;
-      case ColumnType::kDouble:
-        if (validity.empty()) {
-          AppendColumn(c, std::span<const double>(buf.reals));
-        } else {
-          AppendNullableColumn(c, std::span<const double>(buf.reals),
-                               validity);
-        }
-        break;
-      case ColumnType::kString:
-        if (validity.empty()) {
-          AppendColumn(c, std::span<const std::string>(buf.strs));
-        } else {
-          AppendNullableColumn(c, std::span<const std::string>(buf.strs),
-                               validity);
-        }
-        break;
-    }
-  }
-  return CommitRows();
-}
-
 RowBatch::RowBatch(const Schema& schema)
     : schema_(schema),
       columns_(schema.num_columns()),
@@ -301,9 +32,11 @@ RowBatch& RowBatch::Begin() {
 
 RowBatch& RowBatch::Int(int64_t v) {
   LSHAP_CHECK_LT(next_col_, schema_.num_columns());
+  const ColumnType type = schema_.columns()[next_col_].type;
+  LSHAP_CHECK(type != ColumnType::kString);
   ColumnBuffer& buf = columns_[next_col_];
-  // Same promotion rule as TableAppender::Int.
-  if (schema_.columns()[next_col_].type == ColumnType::kDouble) {
+  // Ints promote into kDouble columns, as Database::Insert accepts them.
+  if (type == ColumnType::kDouble) {
     buf.reals.push_back(static_cast<double>(v));
   } else {
     buf.ints.push_back(v);
@@ -315,6 +48,7 @@ RowBatch& RowBatch::Int(int64_t v) {
 
 RowBatch& RowBatch::Real(double v) {
   LSHAP_CHECK_LT(next_col_, schema_.num_columns());
+  LSHAP_CHECK(schema_.columns()[next_col_].type == ColumnType::kDouble);
   ColumnBuffer& buf = columns_[next_col_];
   buf.reals.push_back(v);
   if (!buf.validity.empty()) buf.validity.push_back(1);
@@ -324,6 +58,7 @@ RowBatch& RowBatch::Real(double v) {
 
 RowBatch& RowBatch::Str(std::string_view s) {
   LSHAP_CHECK_LT(next_col_, schema_.num_columns());
+  LSHAP_CHECK(schema_.columns()[next_col_].type == ColumnType::kString);
   ColumnBuffer& buf = columns_[next_col_];
   buf.strs.emplace_back(s);
   if (!buf.validity.empty()) buf.validity.push_back(1);
@@ -337,19 +72,7 @@ RowBatch& RowBatch::Null() {
   // Materialize validity on the column's first null, backfilling the cells
   // staged so far as valid; the null slot itself stages a placeholder so the
   // typed vector stays parallel to validity.
-  size_t staged = 0;
-  switch (schema_.columns()[next_col_].type) {
-    case ColumnType::kInt:
-      staged = buf.ints.size();
-      break;
-    case ColumnType::kDouble:
-      staged = buf.reals.size();
-      break;
-    case ColumnType::kString:
-      staged = buf.strs.size();
-      break;
-  }
-  if (buf.validity.empty()) buf.validity.assign(staged, 1);
+  if (buf.validity.empty()) buf.validity.assign(buf.cells(), 1);
   buf.validity.push_back(0);
   switch (schema_.columns()[next_col_].type) {
     case ColumnType::kInt:

@@ -2,7 +2,6 @@
 #define LSHAP_RELATIONAL_TABLE_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,7 +14,6 @@
 namespace lshap {
 
 class Database;
-class RowBatch;
 
 // Globally unique identifier of a database fact (the "annotation" of
 // provenance semirings). FactIds double as the boolean variables of
@@ -47,7 +45,6 @@ class Table {
 
  private:
   friend class Database;
-  friend class TableAppender;
 
   Schema schema_;
   const StringPool* pool_;
@@ -55,103 +52,22 @@ class Table {
   std::vector<FactId> fact_ids_;
 };
 
-// Typed bulk-load cursor bound to one table, with two interchangeable
-// shapes sharing one commit path:
+// The one way rows enter a table: stage them here, in row order, with
+// fluent cell calls, then commit the whole batch with Database::Append.
 //
-//   Row-at-a-time:    appender.Begin().Int(1).Str("x").Commit();
-//   Column-at-a-time: appender.AppendColumn(0, ints)
-//                             .AppendColumn(1, names)
-//                             .CommitRows();
-//   Staged batch:     RowBatch batch(schema); ...; appender.Append(batch);
+//   RowBatch batch = db.BatchFor("t");
+//   batch.Begin().Int(1).Str("x").End();
+//   batch.Begin().Null().Str("y").End();   // NULL is valid for any type
+//   std::vector<FactId> ids = db.Append(batch);
 //
-// NULL cells ingest through every shape: `Begin().Int(1).Null().Commit()`
-// in the row builder, `AppendNullableColumn(col, values, validity)` in the
-// column path (validity[i] == 0 marks row i NULL; the paired value is a
-// placeholder and is not interned/stored), and `RowBatch::Null()` when
-// staging. The all-valid signatures are exact wrappers of the nullable
-// surface — ingesting the same all-valid data through either produces
-// byte-identical tables, fact ids and fingerprints.
-//
-// Cells go straight into the typed columns (one string intern per string
-// cell, no Value construction). The row-at-a-time path is a thin wrapper:
-// Commit() is CommitRows() over a single staged row. Column appends stage
-// directly into the table's columns; CommitRows() checks every column
-// gained the same number of rows (rectangular batch) and then registers
-// one fact per new row, in row order — so batch and row-at-a-time ingest
-// of the same data produce byte-identical tables and fact ids. Misuse
-// (wrong type/arity for the schema, ragged batches, mixing an open row
-// with column appends) is a programming error and CHECK-fails; the
-// Result-returning boundary is Database::Insert.
-class TableAppender {
- public:
-  TableAppender& Begin();  // starts a new row; previous row must be complete
-  TableAppender& Int(int64_t v);
-  TableAppender& Real(double v);
-  TableAppender& Str(std::string_view s);
-  TableAppender& Null();  // a NULL cell, valid for any column type
-  FactId Commit();  // finishes the row, registers and returns its fact id
-
-  // Column-at-a-time bulk appends. `col` is the schema column index; ints
-  // promote into kDouble columns exactly like Int(). No row may be open.
-  TableAppender& AppendColumn(size_t col, std::span<const int64_t> values);
-  TableAppender& AppendColumn(size_t col, std::span<const double> values);
-  TableAppender& AppendColumn(size_t col,
-                              std::span<const std::string_view> values);
-  TableAppender& AppendColumn(size_t col,
-                              std::span<const std::string> values);
-
-  // Nullable column-at-a-time appends: values and validity are parallel
-  // spans (equal length, CHECK-enforced); validity[i] == 0 appends a NULL
-  // cell and ignores values[i] (string placeholders are not interned).
-  // `AppendColumn(col, values)` is exactly
-  // `AppendNullableColumn(col, values, all-ones)` minus the validity loads.
-  TableAppender& AppendNullableColumn(size_t col,
-                                      std::span<const int64_t> values,
-                                      std::span<const uint8_t> validity);
-  TableAppender& AppendNullableColumn(size_t col,
-                                      std::span<const double> values,
-                                      std::span<const uint8_t> validity);
-  TableAppender& AppendNullableColumn(size_t col,
-                                      std::span<const std::string_view> values,
-                                      std::span<const uint8_t> validity);
-  TableAppender& AppendNullableColumn(size_t col,
-                                      std::span<const std::string> values,
-                                      std::span<const uint8_t> validity);
-
-  // Registers facts for the rows staged by AppendColumn since the last
-  // commit and returns their ids in row order. CHECK-fails if the staged
-  // columns are ragged (unequal append counts).
-  std::vector<FactId> CommitRows();
-
-  // Bulk-appends a staged RowBatch (column-at-a-time under the hood) and
-  // returns the new fact ids. The batch must have been built against this
-  // table's schema.
-  std::vector<FactId> Append(const RowBatch& batch);
-
-  // The appended table's schema — what a RowBatch staging rows for this
-  // appender should be constructed with.
-  const Schema& schema() const;
-
- private:
-  friend class Database;
-  TableAppender(Database* db, uint32_t table_index);
-
-  Table& table();
-  // Shared commit tail: registers `new_rows` facts for rows already present
-  // in the columns but not yet annotated.
-  void RegisterRows(size_t new_rows, std::vector<FactId>* out);
-
-  Database* db_;
-  uint32_t table_index_;
-  size_t next_col_;
-  // Rows appended per column since the last commit (column-at-a-time path).
-  std::vector<size_t> staged_;
-};
-
-// A row-major staging buffer decoupled from any database: build rows with
-// the same fluent cell calls as TableAppender, then hand the whole batch to
-// TableAppender::Append. Lets dataset generators keep their per-row RNG
-// call order while the database sees one bulk append per table.
+// Int() promotes into kDouble columns. The batch is decoupled from the
+// database while it fills, so dataset generators keep their per-row RNG
+// call order while the database sees one bulk append per table. Staging
+// misuse (a cell of the wrong type or past the last column, Begin/End on an
+// unfinished row) is a programming error and CHECK-fails; so does
+// committing a batch whose schema does not match its table, or whose last
+// row is unfinished. The Result-returning boundary for outside input is
+// Database::Insert.
 class RowBatch {
  public:
   explicit RowBatch(const Schema& schema);
@@ -167,18 +83,21 @@ class RowBatch {
   const Schema& schema() const { return schema_; }
 
  private:
-  friend class TableAppender;
+  friend class Database;
 
   // One staging buffer per schema column; only the vector matching the
   // column's type is used. `validity` stays empty until the column stages
-  // its first Null() (empty = all valid), so all-valid batches flush through
-  // the plain AppendColumn path byte-for-byte; once materialized, it runs
-  // parallel to the typed vector and null slots hold a placeholder cell.
+  // its first Null() (empty = all valid, so an all-valid column commits
+  // without a validity bitmap); once materialized, it runs parallel to the
+  // typed vector and null slots hold a placeholder cell.
   struct ColumnBuffer {
     std::vector<int64_t> ints;
     std::vector<double> reals;
     std::vector<std::string> strs;
     std::vector<uint8_t> validity;
+
+    // Cells staged so far (the two unused vectors are empty).
+    size_t cells() const { return ints.size() + reals.size() + strs.size(); }
   };
 
   Schema schema_;

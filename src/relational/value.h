@@ -17,8 +17,8 @@ const char* ColumnTypeName(ColumnType type);
 // A dynamically typed cell value. Small, regular, hashable and ordered, so
 // tuples can live in hash maps (join indexes, witness sets) and be sorted.
 // NULL is a first-class storable cell: Value::Null() (or a
-// default-constructed Value) ingests through Database::Insert and
-// TableAppender like any other cell. Variant equality deliberately says
+// default-constructed Value) ingests through Database::Insert like any
+// other cell, as RowBatch::Null() does in a staged batch. Variant equality deliberately says
 // Null() == Null() — that is what DISTINCT and witness-set comparison want;
 // predicate and join comparison go through three-valued MatchesPredicate3
 // and the join paths' null exclusion instead (SQL semantics: NULL compares
@@ -32,7 +32,7 @@ class Value {
   explicit Value(const char* s) : v_(std::string(s)) {}
 
   // The NULL cell, spelled as a factory so call sites read as intent
-  // (`appender.Begin().Int(1).Null()` ingests one; `Value::Null()` is the
+  // (`batch.Begin().Int(1).Null()` stages one; `Value::Null()` is the
   // literal form) rather than as a leftover default construction.
   static Value Null() { return Value(); }
 

@@ -440,16 +440,18 @@ TEST(EvalPropertyTest, NullAndNanJoinKeysMatchNaiveEvaluator) {
                                        {"name", ColumnType::kString}}))
                   .ok());
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  TableAppender l = db.AppenderFor("l");
-  l.Begin().Int(1).Real(1.5).Str("a").Commit();
-  l.Begin().Null().Real(nan).Str("b").Commit();   // null int key, NaN double
-  l.Begin().Int(0).Real(0.0).Str("c").Commit();   // 0: the null placeholder
-  l.Begin().Int(2).Null().Str("d").Commit();
-  TableAppender r = db.AppenderFor("r");
-  r.Begin().Int(1).Real(1.5).Str("x").Commit();
-  r.Begin().Null().Real(nan).Str("y").Commit();   // must match NOTHING
-  r.Begin().Int(0).Real(-0.0).Str("z").Commit();  // -0.0 joins 0.0
-  r.Begin().Int(2).Null().Str("w").Commit();
+  RowBatch l = db.BatchFor("l");
+  l.Begin().Int(1).Real(1.5).Str("a").End();
+  l.Begin().Null().Real(nan).Str("b").End();   // null int key, NaN double
+  l.Begin().Int(0).Real(0.0).Str("c").End();   // 0: the null placeholder
+  l.Begin().Int(2).Null().Str("d").End();
+  db.Append(l);
+  RowBatch r = db.BatchFor("r");
+  r.Begin().Int(1).Real(1.5).Str("x").End();
+  r.Begin().Null().Real(nan).Str("y").End();   // must match NOTHING
+  r.Begin().Int(0).Real(-0.0).Str("z").End();  // -0.0 joins 0.0
+  r.Begin().Int(2).Null().Str("w").End();
+  db.Append(r);
   db.FreezeStringOrder();
 
   const struct {

@@ -10,9 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -95,8 +93,9 @@ TEST(TriBoolTest, OrderingSupportsMinMaxConnectives) {
 TEST(ValidityBitmapTest, AllValidColumnStoresNoBitmap) {
   Database db("v");
   ASSERT_TRUE(db.AddTable(Schema("t", {{"a", ColumnType::kInt}})).ok());
-  TableAppender app = db.AppenderFor("t");
-  for (int64_t i = 0; i < 100; ++i) app.Begin().Int(i).Commit();
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db.Insert("t", {Value(i)}).ok());
+  }
   const ColumnData& col = (*db.FindTable("t"))->column(0);
   EXPECT_FALSE(col.has_nulls());
   EXPECT_EQ(col.null_count(), 0u);
@@ -107,11 +106,12 @@ TEST(ValidityBitmapTest, AllValidColumnStoresNoBitmap) {
 TEST(ValidityBitmapTest, FirstNullBackfillsAndPacksWords) {
   Database db("v");
   ASSERT_TRUE(db.AddTable(Schema("t", {{"a", ColumnType::kInt}})).ok());
-  TableAppender app = db.AppenderFor("t");
+  RowBatch batch = db.BatchFor("t");
   // 70 valid rows (crosses the 64-bit word boundary), then null, then valid.
-  for (int64_t i = 0; i < 70; ++i) app.Begin().Int(i).Commit();
-  app.Begin().Null().Commit();
-  app.Begin().Int(71).Commit();
+  for (int64_t i = 0; i < 70; ++i) batch.Begin().Int(i).End();
+  batch.Begin().Null().End();
+  batch.Begin().Int(71).End();
+  db.Append(batch);
   const ColumnData& col = (*db.FindTable("t"))->column(0);
   EXPECT_TRUE(col.has_nulls());
   EXPECT_EQ(col.null_count(), 1u);
@@ -153,43 +153,14 @@ void ExpectCanonicalRows(const Database& db) {
   }
 }
 
-TEST(NullIngestTest, RowBuilderSurface) {
-  Database db("i");
-  ASSERT_TRUE(db.AddTable(MixedSchema()).ok());
-  TableAppender app = db.AppenderFor("t");
-  app.Begin().Int(1).Real(1.5).Str("x").Commit();
-  app.Begin().Null().Null().Null().Commit();
-  app.Begin().Int(3).Real(3.5).Str("z").Commit();
-  ExpectCanonicalRows(db);
-}
-
 TEST(NullIngestTest, RowBatchSurface) {
   Database db("i");
   ASSERT_TRUE(db.AddTable(MixedSchema()).ok());
-  TableAppender app = db.AppenderFor("t");
-  RowBatch batch(app.schema());
+  RowBatch batch = db.BatchFor("t");
   batch.Begin().Int(1).Real(1.5).Str("x").End();
   batch.Begin().Null().Null().Null().End();
   batch.Begin().Int(3).Real(3.5).Str("z").End();
-  app.Append(batch);
-  ExpectCanonicalRows(db);
-}
-
-TEST(NullIngestTest, NullableColumnSurface) {
-  Database db("i");
-  ASSERT_TRUE(db.AddTable(MixedSchema()).ok());
-  TableAppender app = db.AppenderFor("t");
-  const std::vector<int64_t> ints = {1, 0, 3};
-  const std::vector<double> reals = {1.5, 0.0, 3.5};
-  const std::vector<std::string> strs = {"x", "", "z"};
-  const std::vector<uint8_t> validity = {1, 0, 1};
-  app.AppendNullableColumn(0, std::span<const int64_t>(ints),
-                           std::span<const uint8_t>(validity))
-      .AppendNullableColumn(1, std::span<const double>(reals),
-                            std::span<const uint8_t>(validity))
-      .AppendNullableColumn(2, std::span<const std::string>(strs),
-                            std::span<const uint8_t>(validity))
-      .CommitRows();
+  db.Append(batch);
   ExpectCanonicalRows(db);
 }
 
@@ -204,92 +175,48 @@ TEST(NullIngestTest, InsertSurface) {
 }
 
 TEST(NullIngestTest, AllSurfacesFingerprintIdentically) {
-  auto build = [](int surface) {
+  // A RowBatch staging Null() cells and Insert with Value::Null() build the
+  // same table.
+  auto build = [](bool batched) {
     auto db = std::make_unique<Database>("i");
     LSHAP_CHECK(db->AddTable(MixedSchema()).ok());
-    TableAppender app = db->AppenderFor("t");
-    switch (surface) {
-      case 0: {
-        app.Begin().Int(1).Real(1.5).Str("x").Commit();
-        app.Begin().Null().Null().Null().Commit();
-        app.Begin().Int(3).Real(3.5).Str("z").Commit();
-        break;
-      }
-      case 1: {
-        RowBatch batch(app.schema());
-        batch.Begin().Int(1).Real(1.5).Str("x").End();
-        batch.Begin().Null().Null().Null().End();
-        batch.Begin().Int(3).Real(3.5).Str("z").End();
-        app.Append(batch);
-        break;
-      }
-      case 2: {
-        const std::vector<int64_t> ints = {1, 0, 3};
-        const std::vector<double> reals = {1.5, 0.0, 3.5};
-        const std::vector<std::string_view> strs = {"x", "", "z"};
-        const std::vector<uint8_t> validity = {1, 0, 1};
-        app.AppendNullableColumn(0, std::span<const int64_t>(ints),
-                                 std::span<const uint8_t>(validity))
-            .AppendNullableColumn(1, std::span<const double>(reals),
-                                  std::span<const uint8_t>(validity))
-            .AppendNullableColumn(2, std::span<const std::string_view>(strs),
-                                  std::span<const uint8_t>(validity))
-            .CommitRows();
-        break;
-      }
-      default: {
-        LSHAP_CHECK(
-            db->Insert("t", {Value(int64_t{1}), Value(1.5), Value("x")}).ok());
-        LSHAP_CHECK(
-            db->Insert("t", {Value::Null(), Value::Null(), Value::Null()})
-                .ok());
-        LSHAP_CHECK(
-            db->Insert("t", {Value(int64_t{3}), Value(3.5), Value("z")}).ok());
-        break;
-      }
+    if (batched) {
+      RowBatch batch = db->BatchFor("t");
+      batch.Begin().Int(1).Real(1.5).Str("x").End();
+      batch.Begin().Null().Null().Null().End();
+      batch.Begin().Int(3).Real(3.5).Str("z").End();
+      db->Append(batch);
+    } else {
+      LSHAP_CHECK(
+          db->Insert("t", {Value(int64_t{1}), Value(1.5), Value("x")}).ok());
+      LSHAP_CHECK(
+          db->Insert("t", {Value::Null(), Value::Null(), Value::Null()}).ok());
+      LSHAP_CHECK(
+          db->Insert("t", {Value(int64_t{3}), Value(3.5), Value("z")}).ok());
     }
     return db;
   };
-  const uint64_t want = FactTableFingerprint(*build(0));
-  for (int surface = 1; surface < 4; ++surface) {
-    EXPECT_EQ(FactTableFingerprint(*build(surface)), want)
-        << "surface " << surface;
-  }
+  EXPECT_EQ(FactTableFingerprint(*build(true)),
+            FactTableFingerprint(*build(false)));
 }
 
-TEST(NullIngestTest, IntNullableColumnPromotesToDouble) {
-  Database db("i");
-  ASSERT_TRUE(db.AddTable(Schema("t", {{"d", ColumnType::kDouble}})).ok());
-  const std::vector<int64_t> ints = {4, 0, 6};
-  const std::vector<uint8_t> validity = {1, 0, 1};
-  db.AppenderFor("t")
-      .AppendNullableColumn(0, std::span<const int64_t>(ints),
-                            std::span<const uint8_t>(validity))
-      .CommitRows();
-  const Table& t = **db.FindTable("t");
-  EXPECT_EQ(t.GetValue(0, 0).AsDouble(), 4.0);
-  EXPECT_TRUE(t.GetValue(1, 0).is_null());
-  EXPECT_EQ(t.GetValue(2, 0).AsDouble(), 6.0);
-}
-
-TEST(NullIngestTest, AllValidNullableColumnStaysBitmapFree) {
-  // AppendNullableColumn with an all-ones validity span must behave exactly
-  // like AppendColumn: no bitmap materialized, identical fingerprint.
-  const std::vector<int64_t> ints = {4, 5, 6};
-  const std::vector<uint8_t> validity = {1, 1, 1};
+TEST(NullIngestTest, AllValidRowBatchStoresNoBitmap) {
+  // A batch that never stages Null() commits every column bitmap-free and
+  // fingerprints like the same rows inserted one at a time.
   Database a("i");
-  LSHAP_CHECK(a.AddTable(Schema("t", {{"a", ColumnType::kInt}})).ok());
-  a.AppenderFor("t")
-      .AppendNullableColumn(0, std::span<const int64_t>(ints),
-                            std::span<const uint8_t>(validity))
-      .CommitRows();
+  LSHAP_CHECK(a.AddTable(MixedSchema()).ok());
+  RowBatch batch = a.BatchFor("t");
+  batch.Begin().Int(4).Real(4.5).Str("x").End();
+  batch.Begin().Int(5).Real(5.5).Str("y").End();
+  a.Append(batch);
   Database b("i");
-  LSHAP_CHECK(b.AddTable(Schema("t", {{"a", ColumnType::kInt}})).ok());
-  b.AppenderFor("t")
-      .AppendColumn(0, std::span<const int64_t>(ints))
-      .CommitRows();
-  EXPECT_FALSE((*a.FindTable("t"))->column(0).has_nulls());
-  EXPECT_TRUE((*a.FindTable("t"))->column(0).validity_words().empty());
+  LSHAP_CHECK(b.AddTable(MixedSchema()).ok());
+  LSHAP_CHECK(b.Insert("t", {Value(int64_t{4}), Value(4.5), Value("x")}).ok());
+  LSHAP_CHECK(b.Insert("t", {Value(int64_t{5}), Value(5.5), Value("y")}).ok());
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_FALSE((*a.FindTable("t"))->column(c).has_nulls());
+    EXPECT_TRUE((*a.FindTable("t"))->column(c).validity_words().empty());
+  }
   EXPECT_EQ(FactTableFingerprint(a), FactTableFingerprint(b));
 }
 
@@ -304,18 +231,12 @@ TEST(FingerprintTest, DistinguishesNullFromPlaceholderZero) {
   // differently.
   Database with_zero("f");
   LSHAP_CHECK(with_zero.AddTable(Schema("t", {{"a", ColumnType::kInt}})).ok());
-  {
-    TableAppender app = with_zero.AppenderFor("t");
-    app.Begin().Int(1).Commit();
-    app.Begin().Int(0).Commit();
-  }
+  LSHAP_CHECK(with_zero.Insert("t", {Value(int64_t{1})}).ok());
+  LSHAP_CHECK(with_zero.Insert("t", {Value(int64_t{0})}).ok());
   Database with_null("f");
   LSHAP_CHECK(with_null.AddTable(Schema("t", {{"a", ColumnType::kInt}})).ok());
-  {
-    TableAppender app = with_null.AppenderFor("t");
-    app.Begin().Int(1).Commit();
-    app.Begin().Null().Commit();
-  }
+  LSHAP_CHECK(with_null.Insert("t", {Value(int64_t{1})}).ok());
+  LSHAP_CHECK(with_null.Insert("t", {Value::Null()}).ok());
   EXPECT_NE(FactTableFingerprint(with_zero), FactTableFingerprint(with_null));
 }
 
@@ -338,14 +259,16 @@ struct JoinFixture {
                                          {"name", ColumnType::kString}}))
                     .ok());
     const double nan = std::numeric_limits<double>::quiet_NaN();
-    TableAppender l = db.AppenderFor("l");
-    l.Begin().Int(1).Real(1.5).Str("p").Str("a").Commit();
-    l.Begin().Null().Real(nan).Null().Str("b").Commit();
-    l.Begin().Int(0).Real(0.0).Str("q").Str("c").Commit();
-    TableAppender r = db.AppenderFor("r");
-    r.Begin().Int(1).Real(1.5).Str("p").Str("x").Commit();
-    r.Begin().Null().Real(nan).Null().Str("y").Commit();
-    r.Begin().Int(0).Real(-0.0).Str("q").Str("z").Commit();
+    RowBatch l = db.BatchFor("l");
+    l.Begin().Int(1).Real(1.5).Str("p").Str("a").End();
+    l.Begin().Null().Real(nan).Null().Str("b").End();
+    l.Begin().Int(0).Real(0.0).Str("q").Str("c").End();
+    db.Append(l);
+    RowBatch r = db.BatchFor("r");
+    r.Begin().Int(1).Real(1.5).Str("p").Str("x").End();
+    r.Begin().Null().Real(nan).Null().Str("y").End();
+    r.Begin().Int(0).Real(-0.0).Str("q").Str("z").End();
+    db.Append(r);
     db.FreezeStringOrder();
   }
 
@@ -397,11 +320,12 @@ TEST(DistinctNullTest, NullCollapsesWithNullButNotWithZero) {
   ASSERT_TRUE(db.AddTable(Schema("t", {{"a", ColumnType::kInt},
                                        {"b", ColumnType::kString}}))
                   .ok());
-  TableAppender app = db.AppenderFor("t");
-  app.Begin().Int(0).Str("m").Commit();   // real 0 — placeholder collision
-  app.Begin().Null().Str("m").Commit();
-  app.Begin().Null().Str("m").Commit();   // duplicate (NULL, m)
-  app.Begin().Int(0).Str("m").Commit();   // duplicate (0, m)
+  RowBatch batch = db.BatchFor("t");
+  batch.Begin().Int(0).Str("m").End();   // real 0 — placeholder collision
+  batch.Begin().Null().Str("m").End();
+  batch.Begin().Null().Str("m").End();   // duplicate (NULL, m)
+  batch.Begin().Int(0).Str("m").End();   // duplicate (0, m)
+  db.Append(batch);
   db.FreezeStringOrder();
 
   SpjBlock b;
@@ -507,6 +431,27 @@ uint64_t FnvStr(uint64_t h, const std::string& s) {
 
 uint64_t FnvWord(uint64_t h, uint64_t w) { return Fnv1a(h, &w, sizeof(w)); }
 
+// FNV-1a over the string pool in id order (length, then bytes, per string).
+// FactTableFingerprint hashes string contents, so it cannot see the order
+// in which ingest interned them; this can. Database::Append's column-by-
+// column flush decides that order; the pinned values predate Append.
+uint64_t InternOrderFingerprint(const Database& db) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const StringPool& pool = db.string_pool();
+  for (StringId i = 0; i < pool.size(); ++i) {
+    h = FnvWord(h, pool.Get(i).size());
+    h = FnvStr(h, pool.Get(i));
+  }
+  return h;
+}
+
+TEST(GoldenTest, DefaultDatabasesInternStringsAsSeed) {
+  GeneratedDb imdb = MakeImdbDatabase(ImdbConfig{});
+  GeneratedDb acad = MakeAcademicDatabase(AcademicConfig{});
+  EXPECT_EQ(InternOrderFingerprint(*imdb.db), 13029349240397745905ull);
+  EXPECT_EQ(InternOrderFingerprint(*acad.db), 1501532677026326132ull);
+}
+
 // FNV-1a over every tuple (rendered text, in result order) and lineage of
 // every query in the log — one number pinning the full observable output of
 // a (database, log, capture mode) triple.
@@ -579,24 +524,25 @@ std::unique_ptr<Database> CloneWithNullRowPerTable(const Database& src) {
   for (size_t t = 0; t < src.num_tables(); ++t) {
     const Table& table = src.table(t);
     LSHAP_CHECK(db->AddTable(table.schema()).ok());
-    TableAppender app = db->AppenderFor(table.schema().table_name());
+    RowBatch batch = db->BatchFor(table.schema().table_name());
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      app.Begin();
+      batch.Begin();
       for (size_t c = 0; c < table.num_columns(); ++c) {
         const Value v = table.GetValue(r, c);
         if (v.is_int()) {
-          app.Int(v.AsInt());
+          batch.Int(v.AsInt());
         } else if (v.is_string()) {
-          app.Str(v.AsString());
+          batch.Str(v.AsString());
         } else {
-          app.Real(v.AsDouble());
+          batch.Real(v.AsDouble());
         }
       }
-      app.Commit();
+      batch.End();
     }
-    app.Begin();
-    for (size_t c = 0; c < table.num_columns(); ++c) app.Null();
-    app.Commit();
+    batch.Begin();
+    for (size_t c = 0; c < table.num_columns(); ++c) batch.Null();
+    batch.End();
+    db->Append(batch);
   }
   db->FreezeStringOrder();
   return db;

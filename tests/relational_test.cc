@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -164,25 +163,24 @@ TEST(ColumnDataTest, KeyWordMatchesValueEquality) {
   EXPECT_NE(strs.KeyWord(0), strs.KeyWord(1));
 }
 
-TEST(DatabaseTest, TableAppenderBuildsRows) {
+TEST(DatabaseTest, AppendBuildsRows) {
   Database db("test");
   ASSERT_TRUE(db.AddTable(Schema("t", {{"a", ColumnType::kInt},
                                        {"b", ColumnType::kString},
                                        {"c", ColumnType::kDouble}}))
                   .ok());
-  TableAppender app = db.AppenderFor("t");
-  const FactId f0 = app.Begin().Int(1).Str("one").Real(1.5).Commit();
-  const FactId f1 = app.Begin().Int(2).Str("two").Real(2.5).Commit();
-  EXPECT_NE(f0, f1);
+  RowBatch batch = db.BatchFor("t");
+  batch.Begin().Int(1).Str("one").Real(1.5).End();
+  batch.Begin().Int(2).Str("two").Real(2.5).End();
+  const std::vector<FactId> ids = db.Append(batch);
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_NE(ids[0], ids[1]);
   const Table* t = *db.FindTable("t");
   EXPECT_EQ(t->num_rows(), 2u);
   EXPECT_EQ(t->DecodeRow(0),
             (std::vector<Value>{Value(int64_t{1}), Value("one"), Value(1.5)}));
   EXPECT_EQ(t->GetValue(1, 1), Value("two"));
-  EXPECT_EQ(t->fact_id(1), f1);
-  // Int() promotes into kDouble columns, matching the old Value semantics.
-  app.Begin().Int(3).Str("three").Int(4).Commit();
-  EXPECT_EQ(t->GetValue(2, 2), Value(4.0));
+  EXPECT_EQ(t->fact_id(1), ids[1]);
 }
 
 TEST(DatabaseTest, SharedStringsInternOnce) {
@@ -230,8 +228,8 @@ TEST(OutputTupleTest, HashAndToString) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch ingest (relational/table.h): the three ingest shapes must produce
-// byte-identical tables and fact ids.
+// Batch ingest (relational/table.h): a committed RowBatch and the same rows
+// inserted one at a time produce byte-identical tables and fact ids.
 // ---------------------------------------------------------------------------
 
 Schema BatchSchema() {
@@ -240,16 +238,19 @@ Schema BatchSchema() {
                       {"c", ColumnType::kDouble}});
 }
 
-// The reference: row-at-a-time ingest of three rows. Note the Int() fed to
+// The reference: row-at-a-time Insert of three rows. Note the int fed to
 // the kDouble column — the promotion rule batch ingest must reproduce.
 // (unique_ptr because Database pins interior pointers and is immovable.)
 std::unique_ptr<Database> RowAtATimeDb() {
   auto db = std::make_unique<Database>("test");
   EXPECT_TRUE(db->AddTable(BatchSchema()).ok());
-  TableAppender app = db->AppenderFor("t");
-  app.Begin().Int(1).Str("x").Real(0.5).Commit();
-  app.Begin().Int(2).Str("y").Int(7).Commit();
-  app.Begin().Int(3).Str("x").Real(-1.25).Commit();
+  EXPECT_TRUE(
+      db->Insert("t", {Value(int64_t{1}), Value("x"), Value(0.5)}).ok());
+  EXPECT_TRUE(
+      db->Insert("t", {Value(int64_t{2}), Value("y"), Value(int64_t{7})})
+          .ok());
+  EXPECT_TRUE(
+      db->Insert("t", {Value(int64_t{3}), Value("x"), Value(-1.25)}).ok());
   return db;
 }
 
@@ -264,77 +265,92 @@ void ExpectSameTable(const Database& got, const Database& want) {
   EXPECT_EQ(got.num_facts(), want.num_facts());
 }
 
-TEST(BatchIngestTest, AppendColumnMatchesRowAtATime) {
+TEST(BatchIngestTest, RowBatchMatchesRowAtATime) {
   Database db("test");
   ASSERT_TRUE(db.AddTable(BatchSchema()).ok());
-  TableAppender app = db.AppenderFor("t");
-  const std::vector<int64_t> a = {1, 2, 3};
-  const std::vector<std::string> b = {"x", "y", "x"};
-  const std::vector<double> cc = {0.5, 7.0, -1.25};
-  const std::vector<FactId> ids =
-      app.AppendColumn(0, std::span<const int64_t>(a))
-          .AppendColumn(1, std::span<const std::string>(b))
-          .AppendColumn(2, std::span<const double>(cc))
-          .CommitRows();
+  RowBatch batch = db.BatchFor("t");
+  batch.Begin().Int(1).Str("x").Real(0.5).End();
+  batch.Begin().Int(2).Str("y").Int(7).End();  // Int into kDouble promotes
+  batch.Begin().Int(3).Str("x").Real(-1.25).End();
+  EXPECT_EQ(batch.num_rows(), 3u);
+  const std::vector<FactId> ids = db.Append(batch);
   ASSERT_EQ(ids.size(), 3u);
   EXPECT_LT(ids[0], ids[1]);  // fact ids in row order
   EXPECT_LT(ids[1], ids[2]);
   ExpectSameTable(db, *RowAtATimeDb());
 }
 
-TEST(BatchIngestTest, IntSpanPromotesIntoDoubleColumn) {
+TEST(BatchIngestTest, IntPromotesIntoDoubleColumn) {
   Database db("test");
   ASSERT_TRUE(db.AddTable(Schema("t", {{"c", ColumnType::kDouble}})).ok());
-  TableAppender app = db.AppenderFor("t");
-  const std::vector<int64_t> v = {4, -2};
-  app.AppendColumn(0, std::span<const int64_t>(v)).CommitRows();
+  RowBatch batch = db.BatchFor("t");
+  batch.Begin().Int(4).End();
+  batch.Begin().Null().End();
+  batch.Begin().Int(-2).End();
+  db.Append(batch);
   const Table* t = *db.FindTable("t");
   EXPECT_EQ(t->GetValue(0, 0), Value(4.0));
-  EXPECT_EQ(t->GetValue(1, 0), Value(-2.0));
-}
-
-TEST(BatchIngestTest, RowBatchMatchesRowAtATime) {
-  Database db("test");
-  ASSERT_TRUE(db.AddTable(BatchSchema()).ok());
-  TableAppender app = db.AppenderFor("t");
-  RowBatch batch(app.schema());
-  batch.Begin().Int(1).Str("x").Real(0.5).End();
-  batch.Begin().Int(2).Str("y").Int(7).End();  // Int into kDouble promotes
-  batch.Begin().Int(3).Str("x").Real(-1.25).End();
-  EXPECT_EQ(batch.num_rows(), 3u);
-  const std::vector<FactId> ids = app.Append(batch);
-  ASSERT_EQ(ids.size(), 3u);
-  ExpectSameTable(db, *RowAtATimeDb());
+  EXPECT_TRUE(t->GetValue(1, 0).is_null());
+  EXPECT_EQ(t->GetValue(2, 0), Value(-2.0));
 }
 
 TEST(BatchIngestTest, EmptyBatchCommitsNothing) {
   Database db("test");
   ASSERT_TRUE(db.AddTable(BatchSchema()).ok());
-  TableAppender app = db.AppenderFor("t");
-  EXPECT_TRUE(app.CommitRows().empty());
-  RowBatch batch(app.schema());
-  EXPECT_TRUE(app.Append(batch).empty());
+  EXPECT_TRUE(db.Append(db.BatchFor("t")).empty());
   EXPECT_EQ((*db.FindTable("t"))->num_rows(), 0u);
+  EXPECT_EQ(db.num_facts(), 0u);
 }
 
-TEST(BatchIngestTest, BatchesInterleaveWithRowAtATime) {
-  // A committed batch and a committed row can alternate freely; fact ids
+TEST(BatchIngestTest, BatchesInterleaveWithInsert) {
+  // A committed batch and an inserted row can alternate freely; fact ids
   // stay dense and in ingest order.
   Database db("test");
   ASSERT_TRUE(db.AddTable(Schema("t", {{"a", ColumnType::kInt}})).ok());
-  TableAppender app = db.AppenderFor("t");
-  const std::vector<int64_t> first = {10, 11};
-  app.AppendColumn(0, std::span<const int64_t>(first)).CommitRows();
-  const FactId mid = app.Begin().Int(12).Commit();
-  const std::vector<int64_t> last = {13};
-  const std::vector<FactId> tail =
-      app.AppendColumn(0, std::span<const int64_t>(last)).CommitRows();
+  RowBatch first = db.BatchFor("t");
+  first.Begin().Int(10).End();
+  first.Begin().Int(11).End();
+  const std::vector<FactId> head = db.Append(first);
+  auto mid = db.Insert("t", {Value(int64_t{12})});
+  ASSERT_TRUE(mid.ok());
+  RowBatch last = db.BatchFor("t");
+  last.Begin().Int(13).End();
+  const std::vector<FactId> tail = db.Append(last);
   const Table* t = *db.FindTable("t");
   ASSERT_EQ(t->num_rows(), 4u);
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(t->GetValue(i, 0), Value(static_cast<int64_t>(10 + i)));
   }
-  EXPECT_LT(mid, tail[0]);
+  ASSERT_EQ(head.size(), 2u);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(head[1], head[0] + 1);
+  EXPECT_EQ(*mid, head[1] + 1);
+  EXPECT_EQ(tail[0], *mid + 1);
+}
+
+TEST(BatchIngestDeathTest, MalformedBatchesFailBeforeWriting) {
+  Database db("test");
+  ASSERT_TRUE(db.AddTable(Schema("t", {{"a", ColumnType::kInt},
+                                       {"b", ColumnType::kString}}))
+                  .ok());
+  ASSERT_TRUE(db.AddTable(Schema("u", {{"a", ColumnType::kString}})).ok());
+  // An unfinished last row leaves column 0 one cell longer than num_rows().
+  RowBatch ragged = db.BatchFor("t");
+  ragged.Begin().Int(1).Str("x").End();
+  ragged.Begin().Int(2);
+  EXPECT_DEATH(db.Append(ragged), "CHECK failed");
+  // Same table name, different column types.
+  RowBatch mistyped(Schema("t", {{"a", ColumnType::kInt},
+                                 {"b", ColumnType::kInt}}));
+  EXPECT_DEATH(db.Append(mistyped), "CHECK failed");
+  // A batch for a table the database does not have.
+  EXPECT_DEATH(db.Append(RowBatch(Schema("v", {{"a", ColumnType::kInt}}))),
+               "CHECK failed");
+  // A cell of the wrong type fails where it is staged.
+  RowBatch u = db.BatchFor("u");
+  EXPECT_DEATH(u.Begin().Int(1), "CHECK failed");
+  EXPECT_EQ((*db.FindTable("t"))->num_rows(), 0u);
+  EXPECT_EQ(db.num_facts(), 0u);
 }
 
 }  // namespace
