@@ -192,7 +192,6 @@ struct PhaseSpec {
 
 bool RunPhase(const PhaseSpec& spec, const Options& opt,
               const std::shared_ptr<const Database>& db,
-              const SchemaGraph& graph,
               const std::shared_ptr<const LearnShapleyRanker>& ranker,
               const std::vector<RequestKey>& pool, MetricsRegistry* metrics) {
   FaultInjector fault(opt.seed);
@@ -347,7 +346,7 @@ int Run(const Options& opt, MetricsRegistry* metrics) {
 
   bool ok = true;
   for (const PhaseSpec* spec : {&warm, &overload, &chaos}) {
-    ok = RunPhase(*spec, opt, db, data.graph, ranker, pool, metrics) && ok;
+    ok = RunPhase(*spec, opt, db, ranker, pool, metrics) && ok;
   }
   std::printf("\naccounting invariant: %s\n", ok ? "HELD" : "VIOLATED");
   return ok ? 0 : 1;

@@ -35,8 +35,10 @@ TrainingWorkspace& TlsTrainingWorkspace() {
 const Tensor& LearnShapleyModel::Cls(const EncodedPair& input,
                                      InferenceArena& arena,
                                      EncoderRecord* record) const {
+  // Without a record only [CLS] is read, so the last block computes it alone.
   Tensor& hidden = arena.Get(input.ids.size(), encoder_.config().dim);
-  encoder_.ForwardInference(input.ids, input.mask, arena, hidden, record);
+  encoder_.ForwardInference(input.ids, input.mask, arena, hidden, record,
+                            record != nullptr ? kAllRows : 1);
   Tensor& cls = arena.Get(1, hidden.cols());
   std::copy(hidden.row_data(0), hidden.row_data(0) + hidden.cols(),
             cls.row_data(0));
@@ -158,7 +160,7 @@ float QuantizedShapleyModel::PredictShapley(const EncodedPair& input,
   scratch.Reset();
   Tensor& hidden =
       scratch.arena.Get(input.ids.size(), encoder_.config().dim);
-  encoder_.Forward(input.ids, input.mask, scratch, hidden);
+  encoder_.Forward(input.ids, input.mask, scratch, hidden, 1);
   // [CLS] row → quantize → Shapley head.
   int8_t* qx = scratch.Row(head_shapley_.in_pad());
   float act_scale = 0.0f;

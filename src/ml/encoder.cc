@@ -65,9 +65,11 @@ void TransformerEncoder::Embed(const Tensor& tok_table,
 void TransformerEncoder::ForwardInference(const std::vector<int>& ids,
                                           const std::vector<bool>& mask,
                                           InferenceArena& arena, Tensor& out,
-                                          EncoderRecord* record) const {
+                                          EncoderRecord* record,
+                                          size_t out_rows) const {
   LSHAP_CHECK_EQ(ids.size(), mask.size());
   const size_t n = ids.size();
+  LSHAP_CHECK(record == nullptr || out_rows >= n);
   const size_t dim = config_.dim;
   Tensor& h0 = arena.Get(n, dim);
   Embed(tok_emb_.table(), pos_emb_.table(), ids, h0);
@@ -77,9 +79,11 @@ void TransformerEncoder::ForwardInference(const std::vector<int>& ids,
   }
   const Tensor* cur = &h0;
   for (size_t l = 0; l < layers_.size(); ++l) {
+    // Every block but the last feeds keys and values of all positions on.
+    const size_t rows = l + 1 == layers_.size() ? out_rows : kAllRows;
     Tensor& next = arena.Get(n, dim);
     layers_[l].ForwardInference(*cur, mask, arena, next,
-                                record ? &record->layers[l] : nullptr);
+                                record ? &record->layers[l] : nullptr, rows);
     cur = &next;
   }
   final_ln_.ForwardInference(*cur, out,

@@ -44,9 +44,13 @@ class TransformerEncoder {
   // ids.size() must be ≤ max_len; mask[i] marks non-pad positions. Const,
   // with all intermediates from the caller's arena, so threads share one
   // encoder. A training step passes `record`, then calls Backward with it.
+  // `out` receives the first min(out_rows, ids.size()) rows: every block
+  // but the last computes all positions, the last block and the final
+  // LayerNorm only the rows read. A record needs every row.
   void ForwardInference(const std::vector<int>& ids,
                         const std::vector<bool>& mask, InferenceArena& arena,
-                        Tensor& out, EncoderRecord* record = nullptr) const;
+                        Tensor& out, EncoderRecord* record = nullptr,
+                        size_t out_rows = kAllRows) const;
   // Accumulates parameter grads for the forward that filled `record`.
   void Backward(const EncoderRecord& record, const Tensor& d_hidden);
 

@@ -1,11 +1,28 @@
 #include "ml/layers.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace lshap {
 
 namespace {
+
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+
+// The float attention's row softmax. exp(-1e30 - max) underflows to 0, so
+// masked keys get weight exactly 0.
+void ExpSoftmax(float* x, size_t n) {
+  float max_v = -1e30f;
+  for (size_t j = 0; j < n; ++j) max_v = std::max(max_v, x[j]);
+  float sum = 0.0f;
+  for (size_t j = 0; j < n; ++j) {
+    x[j] = std::exp(x[j] - max_v);
+    sum += x[j];
+  }
+  const float inv = 1.0f / sum;
+  for (size_t j = 0; j < n; ++j) x[j] *= inv;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Linear
@@ -180,33 +197,25 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(size_t dim, size_t num_heads,
   LSHAP_CHECK_EQ(head_dim_ * num_heads_, dim_);
 }
 
-void MultiHeadSelfAttention::ForwardInference(const Tensor& x,
-                                              const std::vector<bool>& mask,
-                                              InferenceArena& arena,
-                                              Tensor& out,
-                                              AttentionRecord* record) const {
-  const size_t n = x.rows();
-  Tensor& q = arena.Get(n, dim_);
-  Tensor& k = arena.Get(n, dim_);
-  Tensor& v = arena.Get(n, dim_);
-  q_proj_.ForwardInference(x, q);
-  k_proj_.ForwardInference(x, k);
-  v_proj_.ForwardInference(x, v);
-  if (record != nullptr) {
-    record->x = x;
-    record->q = q;
-    record->k = k;
-    record->v = v;
-    record->attn.resize(num_heads_);
-  }
-
-  Tensor& concat = arena.Get(n, dim_);
-  Tensor& scores = arena.Get(n, n);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  for (size_t h = 0; h < num_heads_; ++h) {
-    const size_t off = h * head_dim_;
+void AttentionCore(const Tensor& q, const Tensor& k, const Tensor& v,
+                   const std::vector<bool>& mask, size_t num_heads,
+                   RowSoftmax softmax, InferenceArena& arena, Tensor& concat,
+                   std::vector<Tensor>* attn) {
+  const size_t m = q.rows();
+  const size_t n = k.rows();
+  const size_t dim = q.cols();
+  const size_t head_dim = dim / num_heads;
+  LSHAP_CHECK_EQ(head_dim * num_heads, dim);
+  LSHAP_CHECK_EQ(v.rows(), n);
+  LSHAP_CHECK_EQ(mask.size(), n);
+  concat.Resize(m, dim);
+  Tensor& scores = arena.Get(m, n);
+  if (attn != nullptr) attn->resize(num_heads);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  for (size_t h = 0; h < num_heads; ++h) {
+    const size_t off = h * head_dim;
     // Scores: s[i][j] = (q_i · k_j) * scale over this head's slice.
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < m; ++i) {
       const float* qi = q.row_data(i) + off;
       float* srow = scores.row_data(i);
       for (size_t j = 0; j < n; ++j) {
@@ -216,37 +225,59 @@ void MultiHeadSelfAttention::ForwardInference(const Tensor& x,
         }
         const float* kj = k.row_data(j) + off;
         float dot = 0.0f;
-        for (size_t c = 0; c < head_dim_; ++c) dot += qi[c] * kj[c];
+        for (size_t c = 0; c < head_dim; ++c) dot += qi[c] * kj[c];
         srow[j] = dot * scale;
       }
     }
-    // Row softmax.
-    for (size_t i = 0; i < n; ++i) {
-      float* srow = scores.row_data(i);
-      float max_v = -1e30f;
-      for (size_t j = 0; j < n; ++j) max_v = std::max(max_v, srow[j]);
-      float sum = 0.0f;
-      for (size_t j = 0; j < n; ++j) {
-        srow[j] = std::exp(srow[j] - max_v);
-        sum += srow[j];
-      }
-      const float inv = 1.0f / sum;
-      for (size_t j = 0; j < n; ++j) srow[j] *= inv;
-    }
-    if (record != nullptr) record->attn[h] = scores;
+    for (size_t i = 0; i < m; ++i) softmax(scores.row_data(i), n);
+    if (attn != nullptr) (*attn)[h] = scores;
     // Head output: attn · V_head, written into the concat slice.
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < m; ++i) {
       const float* arow = scores.row_data(i);
       float* orow = concat.row_data(i) + off;
-      for (size_t c = 0; c < head_dim_; ++c) orow[c] = 0.0f;
+      for (size_t c = 0; c < head_dim; ++c) orow[c] = 0.0f;
       for (size_t j = 0; j < n; ++j) {
         const float a = arow[j];
         if (a == 0.0f) continue;
         const float* vj = v.row_data(j) + off;
-        for (size_t c = 0; c < head_dim_; ++c) orow[c] += a * vj[c];
+        for (size_t c = 0; c < head_dim; ++c) orow[c] += a * vj[c];
       }
     }
   }
+}
+
+void MultiHeadSelfAttention::ForwardInference(const Tensor& x,
+                                              const std::vector<bool>& mask,
+                                              InferenceArena& arena,
+                                              Tensor& out,
+                                              AttentionRecord* record,
+                                              size_t out_rows) const {
+  const size_t n = x.rows();
+  const size_t m = std::min(out_rows, n);
+  LSHAP_CHECK(record == nullptr || m == n);
+  // Keys and values cover every position; queries only the rows read.
+  const Tensor* xq = &x;
+  if (m < n) {
+    Tensor& top = arena.Get(m, dim_);
+    top.AssignTopRows(x, m);
+    xq = &top;
+  }
+  Tensor& q = arena.Get(m, dim_);
+  Tensor& k = arena.Get(n, dim_);
+  Tensor& v = arena.Get(n, dim_);
+  q_proj_.ForwardInference(*xq, q);
+  k_proj_.ForwardInference(x, k);
+  v_proj_.ForwardInference(x, v);
+  if (record != nullptr) {
+    record->x = x;
+    record->q = q;
+    record->k = k;
+    record->v = v;
+  }
+
+  Tensor& concat = arena.Get(m, dim_);
+  AttentionCore(q, k, v, mask, num_heads_, ExpSoftmax, arena, concat,
+                record ? &record->attn : nullptr);
   if (record != nullptr) record->concat = concat;
   out_proj_.ForwardInference(concat, out);
 }
@@ -337,14 +368,16 @@ TransformerLayer::TransformerLayer(size_t dim, size_t num_heads,
 void TransformerLayer::ForwardInference(const Tensor& x,
                                         const std::vector<bool>& mask,
                                         InferenceArena& arena, Tensor& out,
-                                        TransformerLayerRecord* record) const {
+                                        TransformerLayerRecord* record,
+                                        size_t out_rows) const {
+  const size_t m = std::min(out_rows, x.rows());
   Tensor& ln1_out = arena.Get(x.rows(), x.cols());
   ln1_.ForwardInference(x, ln1_out, record ? &record->ln1 : nullptr);
-  Tensor& attn_out = arena.Get(x.rows(), x.cols());
+  Tensor& attn_out = arena.Get(m, x.cols());
   attn_.ForwardInference(ln1_out, mask, arena, attn_out,
-                         record ? &record->attn : nullptr);
-  Tensor& h = arena.Get(x.rows(), x.cols());
-  h = x;
+                         record ? &record->attn : nullptr, m);
+  Tensor& h = arena.Get(m, x.cols());
+  h.AssignTopRows(x, m);
   h.Add(attn_out);
 
   Tensor& ln2_out = arena.Get(h.rows(), h.cols());

@@ -44,6 +44,15 @@ class InferenceArena {
 // and training. Training passes an activation record that the forward fills
 // with what Backward reads; Backward of Linear, Gelu and Embedding takes the
 // forward input instead. Layers hold parameters, never activations.
+//
+// The forwards that contain attention (MultiHeadSelfAttention,
+// TransformerLayer and both encoders) also take how many leading output rows
+// the caller reads, all by default. Attention row i depends on query i and on
+// every key and value, and every other stage works row by row, so the rows a
+// shorter forward computes carry the same bits as in the full forward. A
+// forward that fills an activation record computes every row, because
+// Backward reads full records.
+inline constexpr size_t kAllRows = static_cast<size_t>(-1);
 
 // Affine map y = x·W + b.
 class Linear {
@@ -122,6 +131,21 @@ struct AttentionRecord {
   Tensor concat;             // input of the output projection
 };
 
+// An in-place row softmax; masked scores (-1e30) must come out exactly 0.
+using RowSoftmax = void (*)(float* x, size_t n);
+
+// The scaled-dot-product core that the float and int8 encoders run after
+// their own q/k/v projections. q holds m query rows, k and v all n
+// positions, and mask[j] == false excludes key j. Per head, over its
+// dim/num_heads columns: scores q·kᵀ/√head_dim (−1e30 for masked keys),
+// `softmax` on each score row, then attn·V into that head's columns of the
+// m×dim `concat`. The m×n scores come from `arena`; `attn`, when given,
+// receives each head's softmax weights.
+void AttentionCore(const Tensor& q, const Tensor& k, const Tensor& v,
+                   const std::vector<bool>& mask, size_t num_heads,
+                   RowSoftmax softmax, InferenceArena& arena, Tensor& concat,
+                   std::vector<Tensor>* attn = nullptr);
+
 // Multi-head scaled-dot-product self-attention with padding mask.
 class MultiHeadSelfAttention {
  public:
@@ -130,16 +154,17 @@ class MultiHeadSelfAttention {
 
   // mask[i] == true means position i is a real token; padded positions are
   // excluded as keys (they still produce outputs which downstream ignores).
-  // Intermediate activations come from `arena`, the result lands in `out`.
+  // Intermediate activations come from `arena`; the first
+  // min(out_rows, x.rows()) output rows land in `out`.
   void ForwardInference(const Tensor& x, const std::vector<bool>& mask,
                         InferenceArena& arena, Tensor& out,
-                        AttentionRecord* record = nullptr) const;
+                        AttentionRecord* record = nullptr,
+                        size_t out_rows = kAllRows) const;
   Tensor Backward(const AttentionRecord& record, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);
 
   size_t num_heads() const { return num_heads_; }
-  size_t head_dim() const { return head_dim_; }
   const Linear& q_proj() const { return q_proj_; }
   const Linear& k_proj() const { return k_proj_; }
   const Linear& v_proj() const { return v_proj_; }
@@ -168,9 +193,12 @@ class TransformerLayer {
   TransformerLayer() = default;
   TransformerLayer(size_t dim, size_t num_heads, size_t ffn_dim, Rng& rng);
 
+  // LN1 and the k/v projections run on every row of `x`; everything else
+  // only on the first min(out_rows, x.rows()) rows, which land in `out`.
   void ForwardInference(const Tensor& x, const std::vector<bool>& mask,
                         InferenceArena& arena, Tensor& out,
-                        TransformerLayerRecord* record = nullptr) const;
+                        TransformerLayerRecord* record = nullptr,
+                        size_t out_rows = kAllRows) const;
   Tensor Backward(const TransformerLayerRecord& record, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);

@@ -1,5 +1,6 @@
 #include "ml/quant.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -76,9 +77,10 @@ void QuantizedLinearForward(const QuantizedLinear& lin, const Tensor& x,
 
 void QuantizedTransformerLayer::Forward(const Tensor& x,
                                         const std::vector<bool>& mask,
-                                        QuantScratch& scratch,
-                                        Tensor& out) const {
+                                        QuantScratch& scratch, Tensor& out,
+                                        size_t out_rows) const {
   const size_t n = x.rows();
+  const size_t m = std::min(out_rows, n);
   const size_t dim = x.cols();
   const auto& kernels = SimdKernels();
   InferenceArena& arena = scratch.arena;
@@ -86,8 +88,9 @@ void QuantizedTransformerLayer::Forward(const Tensor& x,
   Tensor& ln1_out = arena.Get(n, dim);
   ln1.ForwardInference(x, ln1_out);
 
-  // One row quantization feeds all three projections.
-  Tensor& q = arena.Get(n, dim);
+  // One row quantization feeds all three projections; keys and values
+  // cover every position, queries only the rows read.
+  Tensor& q = arena.Get(m, dim);
   Tensor& k = arena.Get(n, dim);
   Tensor& v = arena.Get(n, dim);
   {
@@ -95,52 +98,22 @@ void QuantizedTransformerLayer::Forward(const Tensor& x,
     for (size_t r = 0; r < n; ++r) {
       float act_scale = 0.0f;
       kernels.quantize_row(ln1_out.row_data(r), dim, qx, &act_scale);
-      q_proj.Forward(qx, act_scale, q.row_data(r));
+      if (r < m) q_proj.Forward(qx, act_scale, q.row_data(r));
       k_proj.Forward(qx, act_scale, k.row_data(r));
       v_proj.Forward(qx, act_scale, v.row_data(r));
     }
   }
 
-  Tensor& concat = arena.Get(n, dim);
-  Tensor& scores = arena.Get(n, n);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  for (size_t h = 0; h < num_heads; ++h) {
-    const size_t off = h * head_dim;
-    for (size_t i = 0; i < n; ++i) {
-      const float* qi = q.row_data(i) + off;
-      float* srow = scores.row_data(i);
-      for (size_t j = 0; j < n; ++j) {
-        if (!mask[j]) {
-          srow[j] = -1e30f;
-          continue;
-        }
-        const float* kj = k.row_data(j) + off;
-        float dot = 0.0f;
-        for (size_t c = 0; c < head_dim; ++c) dot += qi[c] * kj[c];
-        srow[j] = dot * scale;
-      }
-    }
-    for (size_t i = 0; i < n; ++i) kernels.softmax(scores.row_data(i), n);
-    for (size_t i = 0; i < n; ++i) {
-      const float* arow = scores.row_data(i);
-      float* orow = concat.row_data(i) + off;
-      for (size_t c = 0; c < head_dim; ++c) orow[c] = 0.0f;
-      for (size_t j = 0; j < n; ++j) {
-        const float a = arow[j];
-        if (a == 0.0f) continue;
-        const float* vj = v.row_data(j) + off;
-        for (size_t c = 0; c < head_dim; ++c) orow[c] += a * vj[c];
-      }
-    }
-  }
+  Tensor& concat = arena.Get(m, dim);
+  AttentionCore(q, k, v, mask, num_heads, kernels.softmax, arena, concat);
 
-  Tensor& attn_out = arena.Get(n, dim);
+  Tensor& attn_out = arena.Get(m, dim);
   QuantizedLinearForward(out_proj, concat, scratch, attn_out);
-  Tensor& h = arena.Get(n, dim);
-  h = x;
+  Tensor& h = arena.Get(m, dim);
+  h.AssignTopRows(x, m);
   h.Add(attn_out);
 
-  Tensor& ln2_out = arena.Get(n, dim);
+  Tensor& ln2_out = arena.Get(m, dim);
   ln2.ForwardInference(h, ln2_out);
   Tensor& ffn1_out = arena.Get(1, 1);
   QuantizedLinearForward(ffn1, ln2_out, scratch, ffn1_out);
@@ -166,7 +139,6 @@ QuantizedEncoder QuantizedEncoder::FromEncoder(const TransformerEncoder& enc) {
     dst.ln1 = src.ln1();
     dst.ln2 = src.ln2();
     dst.num_heads = src.attn().num_heads();
-    dst.head_dim = src.attn().head_dim();
     dst.q_proj = QuantizedLinear::FromFloat(src.attn().q_proj().w().value,
                                             src.attn().q_proj().b().value);
     dst.k_proj = QuantizedLinear::FromFloat(src.attn().k_proj().w().value,
@@ -185,7 +157,8 @@ QuantizedEncoder QuantizedEncoder::FromEncoder(const TransformerEncoder& enc) {
 
 void QuantizedEncoder::Forward(const std::vector<int>& ids,
                                const std::vector<bool>& mask,
-                               QuantScratch& scratch, Tensor& out) const {
+                               QuantScratch& scratch, Tensor& out,
+                               size_t out_rows) const {
   LSHAP_CHECK_EQ(ids.size(), mask.size());
   const size_t n = ids.size();
   const size_t dim = config_.dim;
@@ -193,9 +166,10 @@ void QuantizedEncoder::Forward(const std::vector<int>& ids,
   Tensor& h0 = arena.Get(n, dim);
   TransformerEncoder::Embed(tok_table_, pos_table_, ids, h0);
   const Tensor* cur = &h0;
-  for (const auto& layer : layers_) {
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    const size_t rows = l + 1 == layers_.size() ? out_rows : kAllRows;
     Tensor& next = arena.Get(n, dim);
-    layer.Forward(*cur, mask, scratch, next);
+    layers_[l].Forward(*cur, mask, scratch, next, rows);
     cur = &next;
   }
   final_ln_.ForwardInference(*cur, out);

@@ -80,10 +80,12 @@ struct QuantizedTransformerLayer {
   QuantizedLinear q_proj, k_proj, v_proj, out_proj;
   QuantizedLinear ffn1, ffn2;
   size_t num_heads = 0;
-  size_t head_dim = 0;
 
+  // As TransformerLayer::ForwardInference: only the first
+  // min(out_rows, x.rows()) rows are computed past the k/v projections.
   void Forward(const Tensor& x, const std::vector<bool>& mask,
-               QuantScratch& scratch, Tensor& out) const;
+               QuantScratch& scratch, Tensor& out,
+               size_t out_rows = kAllRows) const;
 };
 
 // The full quantized MiniBERT: the float encoder's embedding lookup and
@@ -94,8 +96,11 @@ class QuantizedEncoder {
 
   static QuantizedEncoder FromEncoder(const TransformerEncoder& enc);
 
+  // As TransformerEncoder::ForwardInference: `out` receives the first
+  // min(out_rows, ids.size()) rows, and only the last block drops rows.
   void Forward(const std::vector<int>& ids, const std::vector<bool>& mask,
-               QuantScratch& scratch, Tensor& out) const;
+               QuantScratch& scratch, Tensor& out,
+               size_t out_rows = kAllRows) const;
 
   const EncoderConfig& config() const { return config_; }
   const std::vector<QuantizedTransformerLayer>& layers() const {

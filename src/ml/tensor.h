@@ -48,6 +48,14 @@ class Tensor {
     data_.assign(rows * cols, 0.0f);
   }
 
+  // Becomes a copy of the first `rows` rows of `src` (another tensor).
+  void AssignTopRows(const Tensor& src, size_t rows) {
+    LSHAP_CHECK_LE(rows, src.rows_);
+    rows_ = rows;
+    cols_ = src.cols_;
+    data_.assign(src.data_.begin(), src.data_.begin() + rows * src.cols_);
+  }
+
   // this += other (same shape).
   void Add(const Tensor& other);
   // this += scale * other.

@@ -5,6 +5,8 @@
 //    fallback as the same function).
 //  - Float forward: the one const ForwardInference gives the same bits
 //    whether or not a training step passes an activation record.
+//  - One-row forward: asking the float or int8 encoder for the [CLS] row
+//    alone gives exactly the bits of row 0 of the full forward.
 //  - QuantizedLinear: codes reconstruct the float weights within half a
 //    quantization step, and the int8 forward stays inside the analytic
 //    error bound of the scheme.
@@ -17,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -223,6 +226,53 @@ TEST(FloatInferenceTest, ForwardIsBitIdenticalWithAndWithoutRecord) {
     want += es * es;
     EXPECT_EQ(model.PretrainStep(input, 0.5, 0.25, 0.75, PretrainObjectives{}),
               want);
+  }
+}
+
+// ---- One-row forward ----
+
+// Scoring reads only [CLS], so its last block computes row 0 alone. That
+// row must carry the full forward's bits in both encoders, at every length
+// and with or without a masked trailing key.
+TEST(EncoderRowsTest, ClsRowForwardMatchesFullForward) {
+  const size_t vocab = 50;
+  for (const EncoderConfig& cfg :
+       {EncoderConfig::Base(vocab), EncoderConfig::Large(vocab)}) {
+    const TransformerEncoder enc(cfg);
+    const QuantizedEncoder qenc = QuantizedEncoder::FromEncoder(enc);
+    Rng rng(cfg.dim);
+    InferenceArena arena;
+    QuantScratch scratch;
+    for (size_t len = 1; len <= cfg.max_len; ++len) {
+      std::vector<int> ids(len);
+      for (int& id : ids) id = static_cast<int>(rng.NextBounded(vocab));
+      for (const bool mask_last : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "dim " << cfg.dim << " len "
+                                          << len << " mask_last "
+                                          << mask_last);
+        std::vector<bool> mask(len, true);
+        mask.back() = !mask_last;
+        const auto expect_row0 = [&](const Tensor& full, const Tensor& row) {
+          ASSERT_EQ(full.rows(), len);
+          ASSERT_EQ(row.rows(), 1u);
+          ASSERT_EQ(row.cols(), cfg.dim);
+          EXPECT_EQ(std::memcmp(row.data(), full.row_data(0),
+                                sizeof(float) * cfg.dim),
+                    0);
+        };
+        Tensor full, row;
+        arena.Reset();
+        enc.ForwardInference(ids, mask, arena, full);
+        arena.Reset();
+        enc.ForwardInference(ids, mask, arena, row, nullptr, 1);
+        expect_row0(full, row);
+        scratch.Reset();
+        qenc.Forward(ids, mask, scratch, full);
+        scratch.Reset();
+        qenc.Forward(ids, mask, scratch, row, 1);
+        expect_row0(full, row);
+      }
+    }
   }
 }
 
