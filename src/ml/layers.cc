@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ml/simd.h"
+
 namespace lshap {
 
 namespace {
@@ -209,40 +211,29 @@ void AttentionCore(const Tensor& q, const Tensor& k, const Tensor& v,
   LSHAP_CHECK_EQ(v.rows(), n);
   LSHAP_CHECK_EQ(mask.size(), n);
   concat.Resize(m, dim);
+  // Kᵀ once, so each head's K_hᵀ is a block of rows with row stride n.
+  Tensor& kt = arena.Get(dim, n);
+  TransposeInto(k, kt);
   Tensor& scores = arena.Get(m, n);
   if (attn != nullptr) attn->resize(num_heads);
+  const auto gemm = SimdKernels().gemm_f32;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   for (size_t h = 0; h < num_heads; ++h) {
     const size_t off = h * head_dim;
-    // Scores: s[i][j] = (q_i · k_j) * scale over this head's slice.
-    for (size_t i = 0; i < m; ++i) {
-      const float* qi = q.row_data(i) + off;
-      float* srow = scores.row_data(i);
-      for (size_t j = 0; j < n; ++j) {
-        if (!mask[j]) {
-          srow[j] = -1e30f;
-          continue;
-        }
-        const float* kj = k.row_data(j) + off;
-        float dot = 0.0f;
-        for (size_t c = 0; c < head_dim; ++c) dot += qi[c] * kj[c];
-        srow[j] = dot * scale;
-      }
+    // Scores: s = q_h · K_hᵀ, then × scale; masked keys get -1e30.
+    gemm(q.data() + off, dim, 1, kt.row_data(off), n, scores.data(), n, m,
+         head_dim, n);
+    float* s = scores.data();
+    for (size_t e = 0; e < m * n; ++e) s[e] *= scale;
+    for (size_t j = 0; j < n; ++j) {
+      if (mask[j]) continue;
+      for (size_t i = 0; i < m; ++i) s[i * n + j] = -1e30f;
     }
     for (size_t i = 0; i < m; ++i) softmax(scores.row_data(i), n);
     if (attn != nullptr) (*attn)[h] = scores;
-    // Head output: attn · V_head, written into the concat slice.
-    for (size_t i = 0; i < m; ++i) {
-      const float* arow = scores.row_data(i);
-      float* orow = concat.row_data(i) + off;
-      for (size_t c = 0; c < head_dim; ++c) orow[c] = 0.0f;
-      for (size_t j = 0; j < n; ++j) {
-        const float a = arow[j];
-        if (a == 0.0f) continue;
-        const float* vj = v.row_data(j) + off;
-        for (size_t c = 0; c < head_dim; ++c) orow[c] += a * vj[c];
-      }
-    }
+    // Head output: attn · V_h, written into this head's columns of concat.
+    gemm(scores.data(), n, 1, v.data() + off, dim, concat.data() + off, dim,
+         m, n, head_dim);
   }
 }
 
@@ -292,54 +283,38 @@ Tensor MultiHeadSelfAttention::Backward(const AttentionRecord& record,
   Tensor dv(n, dim_);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
 
+  // Vᵀ once, so each head's V_hᵀ is a block of rows with row stride n.
+  Tensor vt;
+  TransposeInto(record.v, vt);
+  Tensor d_attn(n, n);
+  const auto gemm = SimdKernels().gemm_f32;
   for (size_t h = 0; h < num_heads_; ++h) {
     const size_t off = h * head_dim_;
     const Tensor& attn = record.attn[h];
+    const float* d_out = d_concat.data() + off;
 
-    // dV_head[j] += Σ_i attn[i][j] · d_out[i];  d_attn[i][j] = d_out[i]·V[j].
-    Tensor d_attn(n, n);
-    for (size_t i = 0; i < n; ++i) {
-      const float* doi = d_concat.row_data(i) + off;
-      const float* arow = attn.row_data(i);
-      float* darow = d_attn.row_data(i);
-      for (size_t j = 0; j < n; ++j) {
-        const float* vj = record.v.row_data(j) + off;
-        float dot = 0.0f;
-        for (size_t c = 0; c < head_dim_; ++c) dot += doi[c] * vj[c];
-        darow[j] = dot;
-        const float a = arow[j];
-        if (a != 0.0f) {
-          float* dvj = dv.row_data(j) + off;
-          for (size_t c = 0; c < head_dim_; ++c) dvj[c] += a * doi[c];
-        }
-      }
-    }
-    // Softmax backward per row: ds = a ⊙ (d_attn − Σ_j a_j d_attn_j).
+    // d_attn = dO_h · V_hᵀ;  dV_h = attnᵀ · dO_h.
+    gemm(d_out, dim_, 1, vt.row_data(off), n, d_attn.data(), n, n, head_dim_,
+         n);
+    gemm(attn.data(), 1, n, d_out, dim_, dv.data() + off, dim_, n, n,
+         head_dim_);
+    // Softmax backward per row, ds = a ⊙ (d_attn − Σ_j a_j d_attn_j), and
+    // the score scale: S = ds · scale.
     for (size_t i = 0; i < n; ++i) {
       const float* arow = attn.row_data(i);
       float* darow = d_attn.row_data(i);
       float dot = 0.0f;
       for (size_t j = 0; j < n; ++j) dot += arow[j] * darow[j];
       for (size_t j = 0; j < n; ++j) {
-        darow[j] = arow[j] * (darow[j] - dot);
+        const float ds = arow[j] * (darow[j] - dot);
+        darow[j] = ds * scale;
       }
     }
-    // Scores backward: dq_i += Σ_j ds[i][j]·k_j·scale; dk_j += Σ_i ds·q_i.
-    for (size_t i = 0; i < n; ++i) {
-      const float* dsrow = d_attn.row_data(i);
-      const float* qi = record.q.row_data(i) + off;
-      float* dqi = dq.row_data(i) + off;
-      for (size_t j = 0; j < n; ++j) {
-        const float ds = dsrow[j] * scale;
-        if (ds == 0.0f) continue;
-        const float* kj = record.k.row_data(j) + off;
-        float* dkj = dk.row_data(j) + off;
-        for (size_t c = 0; c < head_dim_; ++c) {
-          dqi[c] += ds * kj[c];
-          dkj[c] += ds * qi[c];
-        }
-      }
-    }
+    // Scores backward: dQ_h = S · K_h;  dK_h = Sᵀ · Q_h.
+    gemm(d_attn.data(), n, 1, record.k.data() + off, dim_, dq.data() + off,
+         dim_, n, n, head_dim_);
+    gemm(d_attn.data(), 1, n, record.q.data() + off, dim_, dk.data() + off,
+         dim_, n, n, head_dim_);
   }
 
   Tensor dx = q_proj_.Backward(record.x, dq);

@@ -139,7 +139,8 @@ using RowSoftmax = void (*)(float* x, size_t n);
 // positions, and mask[j] == false excludes key j. Per head, over its
 // dim/num_heads columns: scores q·kᵀ/√head_dim (−1e30 for masked keys),
 // `softmax` on each score row, then attn·V into that head's columns of the
-// m×dim `concat`. The m×n scores come from `arena`; `attn`, when given,
+// m×dim `concat`. Both products run the kernel table's gemm_f32. The m×n
+// scores and a transposed copy of k come from `arena`; `attn`, when given,
 // receives each head's softmax weights.
 void AttentionCore(const Tensor& q, const Tensor& k, const Tensor& v,
                    const std::vector<bool>& mask, size_t num_heads,

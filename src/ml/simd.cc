@@ -143,11 +143,26 @@ void QuantizeRowScalar(const float* x, size_t n, int8_t* out, float* scale) {
   }
 }
 
+void GemmF32Scalar(const float* a, size_t a_row, size_t a_col,
+                   const float* b, size_t ldb, float* c, size_t ldc, size_t n,
+                   size_t k, size_t m) {
+  for (size_t i = 0; i < n; ++i) {
+    float* crow = c + i * ldc;
+    std::fill(crow, crow + m, 0.0f);
+    for (size_t p = 0; p < k; ++p) {
+      const float av = a[i * a_row + p * a_col];
+      const float* brow = b + p * ldb;
+      for (size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
 constexpr SimdKernelTable kScalarTable = {
     DotInt8Scalar,
     GeluScalar,
     SoftmaxScalar,
     QuantizeRowScalar,
+    GemmF32Scalar,
 };
 
 // -------------------------------------------------------------- AVX2 path
@@ -313,11 +328,106 @@ LSHAP_AVX2_FN void QuantizeRowAvx2(const float* x, size_t n, int8_t* out,
   }
 }
 
+// The GEMM's vector widths: 8 lanes of AVX and 4 of SSE, for the column
+// tail (attention's 12-wide head slices are 8 + 4).
+struct Lanes8 {
+  using V = __m256;
+  static constexpr size_t kWidth = 8;
+  LSHAP_AVX2_FN static V Zero() { return _mm256_setzero_ps(); }
+  LSHAP_AVX2_FN static V Splat(const float* x) {
+    return _mm256_broadcast_ss(x);
+  }
+  LSHAP_AVX2_FN static V Load(const float* x) { return _mm256_loadu_ps(x); }
+  LSHAP_AVX2_FN static void Store(float* x, V v) { _mm256_storeu_ps(x, v); }
+  LSHAP_AVX2_FN static V MulAdd(V acc, V a, V b) {
+    return _mm256_add_ps(acc, _mm256_mul_ps(a, b));
+  }
+};
+
+struct Lanes4 {
+  using V = __m128;
+  static constexpr size_t kWidth = 4;
+  LSHAP_AVX2_FN static V Zero() { return _mm_setzero_ps(); }
+  LSHAP_AVX2_FN static V Splat(const float* x) { return _mm_broadcast_ss(x); }
+  LSHAP_AVX2_FN static V Load(const float* x) { return _mm_loadu_ps(x); }
+  LSHAP_AVX2_FN static void Store(float* x, V v) { _mm_storeu_ps(x, v); }
+  LSHAP_AVX2_FN static V MulAdd(V acc, V a, V b) {
+    return _mm_add_ps(acc, _mm_mul_ps(a, b));
+  }
+};
+
+// One R-row × (NV·kWidth)-column tile of C, held in registers for the whole
+// p loop. MulAdd is a rounded multiply then a rounded add — never an FMA.
+template <class L, size_t R, size_t NV>
+LSHAP_AVX2_FN inline void GemmTile(const float* a, size_t a_row, size_t a_col,
+                                   const float* b, size_t ldb, float* c,
+                                   size_t ldc, size_t k) {
+  typename L::V acc[R][NV];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < NV; ++v) acc[r][v] = L::Zero();
+  }
+  for (size_t p = 0; p < k; ++p) {
+    typename L::V bv[NV];
+    for (size_t v = 0; v < NV; ++v) {
+      bv[v] = L::Load(b + p * ldb + v * L::kWidth);
+    }
+    for (size_t r = 0; r < R; ++r) {
+      const typename L::V av = L::Splat(a + r * a_row + p * a_col);
+      for (size_t v = 0; v < NV; ++v) {
+        acc[r][v] = L::MulAdd(acc[r][v], av, bv[v]);
+      }
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < NV; ++v) {
+      L::Store(c + r * ldc + v * L::kWidth, acc[r][v]);
+    }
+  }
+}
+
+// Covers columns [j, m) in tiles NV·kWidth wide while whole tiles fit,
+// four rows at a time; returns the first column left over.
+template <class L, size_t NV>
+LSHAP_AVX2_FN inline size_t GemmColumns(const float* a, size_t a_row,
+                                        size_t a_col, const float* b,
+                                        size_t ldb, float* c, size_t ldc,
+                                        size_t n, size_t k, size_t m,
+                                        size_t j) {
+  constexpr size_t kTile = NV * L::kWidth;
+  for (; j + kTile <= m; j += kTile) {
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      GemmTile<L, 4, NV>(a + i * a_row, a_row, a_col, b + j, ldb,
+                         c + i * ldc + j, ldc, k);
+    }
+    for (; i < n; ++i) {
+      GemmTile<L, 1, NV>(a + i * a_row, a_row, a_col, b + j, ldb,
+                         c + i * ldc + j, ldc, k);
+    }
+  }
+  return j;
+}
+
+// Lane j of every accumulator computes output column j alone, in the scalar
+// entry's order, so the two entries agree bit for bit.
+LSHAP_AVX2_FN void GemmF32Avx2(const float* a, size_t a_row, size_t a_col,
+                               const float* b, size_t ldb, float* c,
+                               size_t ldc, size_t n, size_t k, size_t m) {
+  size_t j = 0;
+  j = GemmColumns<Lanes8, 2>(a, a_row, a_col, b, ldb, c, ldc, n, k, m, j);
+  j = GemmColumns<Lanes8, 1>(a, a_row, a_col, b, ldb, c, ldc, n, k, m, j);
+  j = GemmColumns<Lanes4, 1>(a, a_row, a_col, b, ldb, c, ldc, n, k, m, j);
+  if (j < m) {
+    GemmF32Scalar(a, a_row, a_col, b + j, ldb, c + j, ldc, n, k, m - j);
+  }
+}
+
 constexpr SimdKernelTable kAvx2Table = {
     DotInt8Avx2,
     GeluAvx2,
     SoftmaxAvx2,
     QuantizeRowAvx2,
+    GemmF32Avx2,
 };
 
 #undef LSHAP_AVX2_FN

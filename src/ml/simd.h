@@ -6,19 +6,24 @@
 
 namespace lshap {
 
-// Runtime-dispatched SIMD kernels for the quantized inference path
-// (DESIGN.md §12). Two implementations exist for every kernel — AVX2 and a
-// portable scalar fallback — selected once behind a single dispatch point
-// (the kernel table returned by SimdKernels()). The two are bit-equal by
-// construction:
+// Runtime-dispatched SIMD kernels for MiniBERT's float products and the
+// quantized inference path (DESIGN.md §12). Two implementations exist for
+// every kernel — AVX2 and a portable scalar fallback — selected once behind
+// a single dispatch point (the kernel table returned by SimdKernels()). The
+// two are bit-equal by construction:
 //
 //  - integer kernels (DotInt8) accumulate in int32, where order is exact;
-//  - float kernels share one polynomial exp approximation, perform the same
-//    IEEE operation sequence per element, and reductions (softmax max/sum,
-//    row-amax) use the same 8-lane accumulator tree in both variants — the
-//    scalar code *emulates* the vector lanes rather than summing linearly;
-//  - simd.cc is compiled with -ffp-contract=off so the compiler cannot fuse
-//    a*b+c differently between the two paths.
+//  - the float GEMM gives each vector lane one output element, so every lane
+//    runs the scalar loop's exact sequence: start from +0.0f, then one
+//    rounded multiply and one rounded add per term in ascending p;
+//  - the other float kernels share one polynomial exp approximation,
+//    perform the same IEEE operation sequence per element, and reductions
+//    (softmax max/sum, row-amax) use the same 8-lane accumulator tree in
+//    both variants — the scalar code *emulates* the vector lanes rather than
+//    summing linearly;
+//  - simd.cc is compiled with -ffp-contract=off, and no kernel uses an FMA
+//    instruction, so no a*b+c is ever fused: a fused multiply-add rounds
+//    once and would move bits.
 //
 // quant_test's KernelBitEquality suite pins this property on random shapes,
 // which is what lets the AVX2-disabled CI leg certify the scalar fallback.
@@ -65,6 +70,16 @@ struct SimdKernelTable {
   // scale 0 and all-zero codes. Writes n codes; the caller zero-pads the
   // tail of `out` up to the block boundary itself.
   void (*quantize_row)(const float* x, size_t n, int8_t* out, float* scale);
+  // Strided float GEMM over n×k·k×m:
+  //   c[i·ldc + j] = Σ_p a[i·a_row + p·a_col] · b[p·ldb + j]
+  // for i < n, j < m. A is read through two strides, so a transposed operand
+  // needs no copy; B and C are row-major with row strides ldb, ldc ≥ m, so
+  // they can be column slices of a wider matrix. Each output starts from
+  // +0.0f and adds its terms in ascending p, with one rounded multiply and
+  // one rounded add per term. Columns j ≥ m of C are not touched.
+  void (*gemm_f32)(const float* a, size_t a_row, size_t a_col, const float* b,
+                   size_t ldb, float* c, size_t ldc, size_t n, size_t k,
+                   size_t m);
 };
 
 const SimdKernelTable& SimdKernels();

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "ml/simd.h"
+
 namespace lshap {
 
 Tensor Tensor::Randn(size_t rows, size_t cols, float stddev, Rng& rng) {
@@ -27,57 +29,34 @@ void Tensor::AddScaled(const Tensor& other, float scale) {
 void MatMulInto(const Tensor& a, const Tensor& b, Tensor& c) {
   LSHAP_CHECK_EQ(a.cols(), b.rows());
   c.Resize(a.rows(), b.cols());
-  const size_t n = a.rows();
-  const size_t k = a.cols();
-  const size_t m = b.cols();
-  for (size_t i = 0; i < n; ++i) {
-    const float* arow = a.row_data(i);
-    float* crow = c.row_data(i);
-    for (size_t p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b.row_data(p);
-      for (size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-    }
-  }
+  SimdKernels().gemm_f32(a.data(), a.cols(), 1, b.data(), b.cols(), c.data(),
+                         c.cols(), a.rows(), a.cols(), b.cols());
 }
 
 Tensor MatMulATB(const Tensor& a, const Tensor& b) {
   LSHAP_CHECK_EQ(a.rows(), b.rows());
   Tensor c(a.cols(), b.cols());
-  const size_t k = a.rows();
-  const size_t n = a.cols();
-  const size_t m = b.cols();
-  for (size_t p = 0; p < k; ++p) {
-    const float* arow = a.row_data(p);
-    const float* brow = b.row_data(p);
-    for (size_t i = 0; i < n; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c.row_data(i);
-      for (size_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-    }
-  }
+  // Row i of Aᵀ is column i of A: stride 1 between rows, a.cols() along p.
+  SimdKernels().gemm_f32(a.data(), 1, a.cols(), b.data(), b.cols(), c.data(),
+                         c.cols(), a.cols(), a.rows(), b.cols());
   return c;
 }
 
 Tensor MatMulABT(const Tensor& a, const Tensor& b) {
   LSHAP_CHECK_EQ(a.cols(), b.cols());
-  Tensor c(a.rows(), b.rows());
-  const size_t n = a.rows();
-  const size_t k = a.cols();
-  const size_t m = b.rows();
-  for (size_t i = 0; i < n; ++i) {
-    const float* arow = a.row_data(i);
-    float* crow = c.row_data(i);
-    for (size_t j = 0; j < m; ++j) {
-      const float* brow = b.row_data(j);
-      float dot = 0.0f;
-      for (size_t p = 0; p < k; ++p) dot += arow[p] * brow[p];
-      crow[j] = dot;
-    }
-  }
+  Tensor bt;
+  TransposeInto(b, bt);
+  Tensor c;
+  MatMulInto(a, bt, c);
   return c;
+}
+
+void TransposeInto(const Tensor& a, Tensor& at) {
+  at.Resize(a.cols(), a.rows());
+  for (size_t r = 0; r < a.rows(); ++r) {
+    const float* row = a.row_data(r);
+    for (size_t c = 0; c < a.cols(); ++c) at.at(c, r) = row[c];
+  }
 }
 
 void AddRowBroadcast(Tensor& a, const Tensor& bias) {

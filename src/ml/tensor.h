@@ -67,13 +67,20 @@ class Tensor {
   std::vector<float> data_;
 };
 
-// C = A · B into a caller-owned output (resized and zeroed here). Shapes:
+// The products below run the float GEMM of the SIMD kernel table
+// (ml/simd.h): each output is summed from +0 in ascending inner index, so
+// the result has the same bits at every SIMD level.
+//
+// C = A · B into a caller-owned output (resized here). Shapes:
 // (n×k)·(k×m) → (n×m).
 void MatMulInto(const Tensor& a, const Tensor& b, Tensor& c);
 // C = Aᵀ · B. Shapes: (k×n)ᵀ·(k×m) → (n×m).
 Tensor MatMulATB(const Tensor& a, const Tensor& b);
 // C = A · Bᵀ. Shapes: (n×k)·(m×k)ᵀ → (n×m).
 Tensor MatMulABT(const Tensor& a, const Tensor& b);
+
+// at = aᵀ into a caller-owned output (resized here).
+void TransposeInto(const Tensor& a, Tensor& at);
 
 // out[r] = a[r] + bias[0] for a 1×cols bias.
 void AddRowBroadcast(Tensor& a, const Tensor& bias);

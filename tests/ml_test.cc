@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 #include "ml/adam.h"
 #include "ml/encoder.h"
 #include "ml/layers.h"
+#include "ml/quant.h"
+#include "ml/simd.h"
 #include "ml/tensor.h"
 #include "ml/tokenizer.h"
 
@@ -262,6 +266,95 @@ TEST(AttentionTest, PaddingMaskExcludesKeys) {
   for (size_t r = 0; r < 3; ++r) {
     for (size_t c = 0; c < 8; ++c) {
       EXPECT_NEAR(out_masked.at(r, c), out_changed.at(r, c), 1e-5);
+    }
+  }
+}
+
+// ---- SIMD level independence ----
+
+// Everything the float and int8 encoders compute for one input, flattened:
+// the full forward, the one-row forward, the int8 forward, and every
+// parameter gradient of one recorded forward plus Backward of `d_hidden`.
+std::vector<float> EncoderOutputs(TransformerEncoder& enc,
+                                  const QuantizedEncoder& qenc,
+                                  const std::vector<int>& ids,
+                                  const std::vector<bool>& mask,
+                                  const Tensor& d_hidden) {
+  std::vector<float> out;
+  const auto append = [&](const Tensor& t) {
+    out.insert(out.end(), t.data(), t.data() + t.size());
+  };
+  InferenceArena arena;
+  Tensor y;
+  enc.ForwardInference(ids, mask, arena, y);
+  append(y);
+  arena.Reset();
+  enc.ForwardInference(ids, mask, arena, y, nullptr, 1);
+  append(y);
+  QuantScratch scratch;
+  qenc.Forward(ids, mask, scratch, y);
+  append(y);
+  const std::vector<Param*> params = enc.Params();
+  for (Param* p : params) p->ZeroGrad();
+  arena.Reset();
+  EncoderRecord record;
+  enc.ForwardInference(ids, mask, arena, y, &record);
+  enc.Backward(record, d_hidden);
+  for (const Param* p : params) append(p->grad);
+  return out;
+}
+
+class EncoderSimdLevelTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (DetectedSimdLevel() == SimdLevel::kScalar) {
+      GTEST_SKIP() << "no SIMD level above scalar on this build/CPU";
+    }
+  }
+  void TearDown() override { SetSimdLevel(DetectedSimdLevel()); }
+};
+
+// Every float product runs the kernel table's GEMM, so the scalar table and
+// the detected one must give the same bits for every encoder output and
+// gradient, at lengths around the 8- and 4-lane column tails and with or
+// without a masked trailing key. The upstream gradient has exact zeros,
+// whole rows of them as scoring's [CLS]-only gradient does.
+TEST_F(EncoderSimdLevelTest, ForwardsAndGradientsMatchScalarBitForBit) {
+  const size_t vocab = 50;
+  for (const EncoderConfig& cfg :
+       {EncoderConfig::Base(vocab), EncoderConfig::Large(vocab),
+        EncoderConfig::SmallAblation(vocab)}) {
+    TransformerEncoder enc(cfg);
+    const QuantizedEncoder qenc = QuantizedEncoder::FromEncoder(enc);
+    Rng rng(cfg.dim + cfg.num_layers);
+    std::vector<size_t> lengths = {31, 32, 33, 63, 64, 65, cfg.max_len};
+    for (size_t len = 1; len <= 16; ++len) lengths.push_back(len);
+    for (const size_t len : lengths) {
+      std::vector<int> ids(len);
+      for (int& id : ids) id = static_cast<int>(rng.NextBounded(vocab));
+      Tensor d_hidden = Tensor::Randn(len, cfg.dim, 1.0f, rng);
+      for (size_t i = 0; i < d_hidden.size(); ++i) {
+        if (i / cfg.dim % 3 == 1 || rng.NextBounded(10) == 0) {
+          d_hidden.data()[i] = 0.0f;
+        }
+      }
+      for (const bool mask_last : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "dim " << cfg.dim << " len "
+                                          << len << " mask_last "
+                                          << mask_last);
+        std::vector<bool> mask(len, true);
+        mask.back() = !mask_last;
+        SetSimdLevel(SimdLevel::kScalar);
+        const std::vector<float> want =
+            EncoderOutputs(enc, qenc, ids, mask, d_hidden);
+        SetSimdLevel(DetectedSimdLevel());
+        const std::vector<float> got =
+            EncoderOutputs(enc, qenc, ids, mask, d_hidden);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              sizeof(float) * want.size()),
+                  0);
+      }
     }
   }
 }

@@ -1,8 +1,9 @@
 // Differential tests for the quantized SIMD inference path (DESIGN.md §12):
 //
 //  - KernelBitEquality: the AVX2 and scalar kernels are bit-equal on random
-//    shapes (this is what lets the AVX2-disabled CI leg certify the scalar
-//    fallback as the same function).
+//    shapes, and the float GEMM equals the naive ascending-sum loop (this is
+//    what lets the AVX2-disabled CI leg certify the scalar fallback as the
+//    same function).
 //  - Float forward: the one const ForwardInference gives the same bits
 //    whether or not a training step passes an activation record.
 //  - One-row forward: asking the float or int8 encoder for the [CLS] row
@@ -150,6 +151,61 @@ TEST_F(KernelBitEquality, QuantizeRow) {
   for (size_t i = 0; i < zeros.size(); ++i) {
     EXPECT_EQ(qa[i], 0);
     EXPECT_EQ(qb[i], 0);
+  }
+}
+
+// The float GEMM: both entries must give the bits of the naive loop that
+// sums each output from +0 in ascending p, on every shape the encoder uses —
+// A read transposed through strides, B and C as column slices of wider
+// rows, and exact zeros (of both signs) in A, which the old per-loop zero
+// skips left out of the sum.
+TEST_F(KernelBitEquality, FloatGemm) {
+  auto [scalar, simd] = GetTables();
+  Rng rng(105);
+  const float kUntouched = 7.5f;
+  for (int trial = 0; trial < 48; ++trial) {
+    const size_t n = 1 + rng.NextBounded(100);
+    const size_t k = 1 + rng.NextBounded(100);
+    static constexpr size_t kWidths[] = {1, 12, 48, 96};
+    const size_t m = trial < 8 ? kWidths[trial % 4] : 1 + rng.NextBounded(100);
+    const bool transposed = trial % 2 == 1;
+    const size_t ldb = m + (trial % 3 == 0 ? 0 : 1 + rng.NextBounded(40));
+    const size_t ldc = m + (trial % 3 == 1 ? 0 : 1 + rng.NextBounded(40));
+    // A is n×k, stored row-major or transposed (k×n) with a wider stride.
+    const size_t lda = transposed ? n + rng.NextBounded(5) : k;
+    const size_t a_row = transposed ? 1 : lda;
+    const size_t a_col = transposed ? lda : 1;
+    std::vector<float> a = RandomRow(rng, transposed ? k * lda : n * lda, 2.0f);
+    for (float& v : a) {
+      if (rng.NextBounded(10) == 0) v = rng.NextBounded(2) ? 0.0f : -0.0f;
+    }
+    const std::vector<float> b = RandomRow(rng, k * ldb, 2.0f);
+
+    std::vector<float> want(n * ldc, kUntouched);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < m; ++j) {
+        float acc = 0.0f;
+        for (size_t p = 0; p < k; ++p) {
+          acc += a[i * a_row + p * a_col] * b[p * ldb + j];
+        }
+        want[i * ldc + j] = acc;
+      }
+    }
+    std::vector<float> got_scalar(n * ldc, kUntouched);
+    std::vector<float> got_simd(n * ldc, kUntouched);
+    scalar->gemm_f32(a.data(), a_row, a_col, b.data(), ldb, got_scalar.data(),
+                     ldc, n, k, m);
+    simd->gemm_f32(a.data(), a_row, a_col, b.data(), ldb, got_simd.data(), ldc,
+                   n, k, m);
+    SCOPED_TRACE(::testing::Message()
+                 << "n=" << n << " k=" << k << " m=" << m << " ldb=" << ldb
+                 << " ldc=" << ldc << " transposed=" << transposed);
+    EXPECT_EQ(std::memcmp(got_scalar.data(), want.data(),
+                          sizeof(float) * want.size()),
+              0);
+    EXPECT_EQ(std::memcmp(got_simd.data(), want.data(),
+                          sizeof(float) * want.size()),
+              0);
   }
 }
 
