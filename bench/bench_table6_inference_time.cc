@@ -145,11 +145,9 @@ int main(int argc, char** argv) {
   if (quantized) {
     std::printf("quantized mode: simd=%s\n",
                 SimdLevelName(ActiveSimdLevel()));
-    base_q.reset(static_cast<LearnShapleyRanker*>(
-        base.ranker->Clone().release()));
+    base_q = base.ranker->Clone();
     base_q->Configure(RankerConfig{}.WithMode(InferenceMode::kQuantized));
-    large_q.reset(static_cast<LearnShapleyRanker*>(
-        large.ranker->Clone().release()));
+    large_q = large.ranker->Clone();
     large_q->Configure(RankerConfig{}.WithMode(InferenceMode::kQuantized));
   }
 

@@ -34,4 +34,18 @@ Status WriteFileAtomic(const std::string& path, const std::string& contents) {
   return CommitTempFile(path);
 }
 
+Result<std::string> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open '" + path + "'");
+  std::string buf;
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  if (size < 0) return Status::Internal("cannot stat '" + path + "'");
+  buf.resize(static_cast<size_t>(size));
+  in.seekg(0);
+  in.read(buf.data(), size);
+  if (!in) return Status::Internal("short read on '" + path + "'");
+  return buf;
+}
+
 }  // namespace lshap

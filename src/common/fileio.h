@@ -30,6 +30,10 @@ Status CommitTempFile(const std::string& path);
 // flushes, and commits. Any failure leaves `path` untouched.
 Status WriteFileAtomic(const std::string& path, const std::string& contents);
 
+// Reads a whole file: kNotFound when it cannot be opened, kInternal on a
+// short read.
+Result<std::string> ReadFileBytes(const std::string& path);
+
 }  // namespace lshap
 
 #endif  // LSHAP_COMMON_FILEIO_H_

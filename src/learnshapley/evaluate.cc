@@ -1,7 +1,5 @@
 #include "learnshapley/evaluate.h"
 
-#include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "common/check.h"
@@ -31,16 +29,17 @@ double PartialNdcg(const std::vector<FactId>& predicted,
   return NdcgAtK(filtered_pred, filtered_gold, 10);
 }
 
-// Scores every contribution of one decoded slice in parallel and writes
-// the results into `per_pos` (indexed by split position, then contribution
-// index). `members` lists the (split position, global entry) pairs of this
-// slice's shard, in split order.
-void EvaluateSlice(const CorpusSlice& slice,
-                   const std::vector<std::pair<size_t, size_t>>& members,
-                   FactScorer& scorer,
-                   const std::unordered_set<FactId>& train_seen,
-                   ThreadPool& pool,
-                   std::vector<std::vector<EvalPoint>>& per_pos) {
+// Scores every contribution of one decoded slice in parallel, every worker
+// through the one const `scorer`, and writes the results into `per_pos`
+// (indexed by split position, then contribution index). `members` lists
+// the (split position, global entry) pairs of this slice's shard, in split
+// order. Fails when the pool rejects the work.
+Status EvaluateSlice(const CorpusSlice& slice,
+                     const std::vector<std::pair<size_t, size_t>>& members,
+                     const FactScorer& scorer,
+                     const std::unordered_set<FactId>& train_seen,
+                     ThreadPool& pool,
+                     std::vector<std::vector<EvalPoint>>& per_pos) {
   const Corpus& chunk = *slice.corpus;
   struct Job {
     size_t pos;       // position in the split vector
@@ -58,62 +57,48 @@ void EvaluateSlice(const CorpusSlice& slice,
     }
   }
 
-  // Per-worker scorer clones; jobs are claimed off a shared counter.
-  const size_t num_workers = std::max<size_t>(1, pool.num_threads());
-  std::vector<std::unique_ptr<FactScorer>> clones;
-  clones.reserve(num_workers);
-  for (size_t w = 0; w < num_workers; ++w) clones.push_back(scorer.Clone());
+  CancelToken never_cancelled;
+  return ParallelFor(pool, jobs.size(), never_cancelled, [&](size_t j) {
+    const Job& job = jobs[j];
+    const CorpusEntry& entry = chunk.entries[job.local_e];
+    const TupleContribution& contrib = entry.contributions[job.c];
+    const ShapleyValues& gold = contrib.shapley;
 
-  std::atomic<size_t> next{0};
-  auto work = [&](size_t worker) {
-    FactScorer& local = *clones[worker];
-    for (;;) {
-      const size_t j = next.fetch_add(1);
-      if (j >= jobs.size()) return;
-      const Job& job = jobs[j];
-      const CorpusEntry& entry = chunk.entries[job.local_e];
-      const TupleContribution& contrib = entry.contributions[job.c];
-      const ShapleyValues& gold = contrib.shapley;
+    const ShapleyValues predicted = scorer.Score(chunk, job.local_e, job.c);
+    const std::vector<FactId> ranking = RankByScore(predicted);
 
-      const ShapleyValues predicted = local.Score(chunk, job.local_e, job.c);
-      const std::vector<FactId> ranking = RankByScore(predicted);
-
-      EvalPoint& pt = per_pos[job.pos][job.c];
-      pt.entry_idx = job.global_e;
-      pt.contrib_idx = job.c;
-      pt.ndcg10 = NdcgAtK(ranking, gold, 10);
-      pt.p1 = PrecisionAtK(ranking, gold, 1);
-      pt.p3 = PrecisionAtK(ranking, gold, 3);
-      pt.p5 = PrecisionAtK(ranking, gold, 5);
-      pt.lineage_size = gold.size();
-      pt.num_tables = entry.query.NumTables();
-      if (!train_seen.empty()) {
-        size_t seen = 0;
-        for (const auto& [f, v] : gold) {
-          if (train_seen.count(f) > 0) ++seen;
-        }
-        pt.has_seen = seen > 0;
-        pt.has_unseen = seen < gold.size();
-        if (pt.has_seen) {
-          pt.seen_ndcg10 = PartialNdcg(ranking, gold, train_seen, true);
-        }
-        if (pt.has_unseen) {
-          pt.unseen_ndcg10 = PartialNdcg(ranking, gold, train_seen, false);
-        }
+    EvalPoint& pt = per_pos[job.pos][job.c];
+    pt.entry_idx = job.global_e;
+    pt.contrib_idx = job.c;
+    pt.ndcg10 = NdcgAtK(ranking, gold, 10);
+    pt.p1 = PrecisionAtK(ranking, gold, 1);
+    pt.p3 = PrecisionAtK(ranking, gold, 3);
+    pt.p5 = PrecisionAtK(ranking, gold, 5);
+    pt.lineage_size = gold.size();
+    pt.num_tables = entry.query.NumTables();
+    if (!train_seen.empty()) {
+      size_t seen = 0;
+      for (const auto& [f, v] : gold) {
+        if (train_seen.count(f) > 0) ++seen;
+      }
+      pt.has_seen = seen > 0;
+      pt.has_unseen = seen < gold.size();
+      if (pt.has_seen) {
+        pt.seen_ndcg10 = PartialNdcg(ranking, gold, train_seen, true);
+      }
+      if (pt.has_unseen) {
+        pt.unseen_ndcg10 = PartialNdcg(ranking, gold, train_seen, false);
       }
     }
-  };
-  for (size_t w = 0; w < num_workers; ++w) {
-    pool.Schedule([&work, w] { work(w); });
-  }
-  pool.Wait();
+    return Status::Ok();
+  });
 }
 
 }  // namespace
 
 Result<EvalSummary> EvaluateScorerStream(
     const CorpusStream& stream, const std::vector<size_t>& split,
-    FactScorer& scorer, const std::unordered_set<FactId>& train_seen,
+    const FactScorer& scorer, const std::unordered_set<FactId>& train_seen,
     ThreadPool& pool) {
   // Group split positions by shard (split order preserved within a shard),
   // so each shard is decoded exactly once per pass.
@@ -143,8 +128,9 @@ Result<EvalSummary> EvaluateScorerStream(
     while (!cursor.Done()) {
       auto slice = cursor.Next();
       if (!slice.ok()) return slice.status();
-      EvaluateSlice(*slice, by_shard[slice->shard_index], scorer, train_seen,
-                    pool, per_pos);
+      Status st = EvaluateSlice(*slice, by_shard[slice->shard_index], scorer,
+                                train_seen, pool, per_pos);
+      if (!st.ok()) return st;
     }
   }
 
@@ -170,7 +156,7 @@ Result<EvalSummary> EvaluateScorerStream(
 
 EvalSummary EvaluateScorer(const Corpus& corpus,
                            const std::vector<size_t>& split,
-                           FactScorer& scorer,
+                           const FactScorer& scorer,
                            const std::unordered_set<FactId>& train_seen,
                            ThreadPool& pool) {
   // The in-memory stream has one shard aliasing the whole corpus, so the

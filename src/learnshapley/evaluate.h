@@ -37,12 +37,12 @@ struct EvalSummary {
   std::vector<EvalPoint> points;
 };
 
-// Evaluates `scorer` on every contribution of the given corpus split,
-// in parallel with per-worker scorer clones. `train_seen` (may be empty)
-// enables the seen/unseen partial metrics.
+// Evaluates `scorer` on every contribution of the given corpus split, in
+// parallel, every worker scoring through the one const `scorer`.
+// `train_seen` (may be empty) enables the seen/unseen partial metrics.
 EvalSummary EvaluateScorer(const Corpus& corpus,
                            const std::vector<size_t>& split,
-                           FactScorer& scorer,
+                           const FactScorer& scorer,
                            const std::unordered_set<FactId>& train_seen,
                            ThreadPool& pool);
 
@@ -56,10 +56,11 @@ EvalSummary EvaluateScorer(const Corpus& corpus,
 // The scorer sees each slice's chunk Corpus. With an InMemoryCorpusStream
 // that chunk is the full corpus; with a multi-shard stream, scorers that
 // read corpus-global state (the NearestQueries baselines) are not
-// supported — use a ranker that scores from (db, entry) alone.
+// supported — use a ranker that scores from (db, entry) alone. Fails with
+// the pool's status when it rejects the work (after Shutdown).
 Result<EvalSummary> EvaluateScorerStream(
     const CorpusStream& stream, const std::vector<size_t>& split,
-    FactScorer& scorer, const std::unordered_set<FactId>& train_seen,
+    const FactScorer& scorer, const std::unordered_set<FactId>& train_seen,
     ThreadPool& pool);
 
 }  // namespace lshap

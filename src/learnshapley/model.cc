@@ -171,16 +171,4 @@ float QuantizedShapleyModel::PredictShapley(const EncodedPair& input,
   return pred;
 }
 
-std::vector<const QuantizedLinear*> QuantizedShapleyModel::AllLinears() const {
-  std::vector<const QuantizedLinear*> out = encoder_.AllLinears();
-  out.push_back(&head_shapley_);
-  return out;
-}
-
-std::vector<QuantizedLinear*> QuantizedShapleyModel::MutableLinears() {
-  std::vector<QuantizedLinear*> out = encoder_.MutableLinears();
-  out.push_back(&head_shapley_);
-  return out;
-}
-
 }  // namespace lshap

@@ -99,13 +99,6 @@ class QuantizedShapleyModel {
   // Quantized counterpart of LearnShapleyModel::PredictShapley.
   float PredictShapley(const EncodedPair& input, QuantScratch& scratch) const;
 
-  const QuantizedEncoder& encoder() const { return encoder_; }
-
-  // Every int8 layer in serialization order: the encoder's (per layer
-  // q,k,v,out,ffn1,ffn2) followed by the Shapley head.
-  std::vector<const QuantizedLinear*> AllLinears() const;
-  std::vector<QuantizedLinear*> MutableLinears();
-
  private:
   QuantizedEncoder encoder_;
   QuantizedLinear head_shapley_;

@@ -1,7 +1,7 @@
 #include "learnshapley/model_io.h"
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
+#include <initializer_list>
 #include <sstream>
 
 #include "common/fileio.h"
@@ -12,35 +12,32 @@ namespace lshap {
 
 namespace {
 
-// Canonical byte image of the quantized section, checksummed with the same
-// FNV-1a primitive as the corpus shard format: per linear, the dims as
-// little-endian u64s, then raw scale/bias floats, then raw int8 weights.
-std::string QuantCanonicalBytes(const QuantizedShapleyModel& q) {
-  std::string bytes;
-  for (const QuantizedLinear* lin : q.AllLinears()) {
-    const uint64_t dims[3] = {lin->in(), lin->out(), lin->in_pad()};
-    bytes.append(reinterpret_cast<const char*>(dims), sizeof(dims));
-    bytes.append(reinterpret_cast<const char*>(lin->scales().data()),
-                 lin->scales().size() * sizeof(float));
-    bytes.append(reinterpret_cast<const char*>(lin->bias().data()),
-                 lin->bias().size() * sizeof(float));
-    bytes.append(reinterpret_cast<const char*>(lin->weights().data()),
-                 lin->weights().size());
+constexpr char kHeader[] = "LSHAP_MODEL 3";
+
+// A file's last line: FNV-1a (the corpus shards' primitive) over the
+// first `n` bytes of `text`, which are every byte before that line.
+std::string ChecksumLine(const std::string& text, size_t n) {
+  return StrFormat("checksum %016llx\n", static_cast<unsigned long long>(
+                                             FnvChecksum(text.data(), n)));
+}
+constexpr size_t kChecksumLineSize = sizeof("checksum 0123456789abcdef\n") - 1;
+
+// True when the product of `factors` does not overflow and is at most
+// `limit`.
+bool ProductAtMost(std::initializer_list<size_t> factors, size_t limit) {
+  size_t product = 1;
+  for (size_t f : factors) {
+    if (__builtin_mul_overflow(product, f, &product)) return false;
   }
-  return bytes;
+  return product <= limit;
 }
 
 }  // namespace
 
 Status SaveRanker(LearnShapleyRanker& ranker, const std::string& path) {
-  // Stream into the sibling temp path and rename into place on success, so
-  // a crash mid-save never leaves a truncated model under the final name.
-  const std::string tmp = TempWritePath(path);
-  std::ofstream out(tmp);
-  if (!out) return Status::Internal("cannot open '" + tmp + "' for write");
-
+  std::ostringstream out;
   const EncoderConfig& cfg = ranker.model().encoder_config();
-  out << "LSHAP_MODEL 2\n";
+  out << kHeader << '\n';
   out << "name " << ranker.name() << '\n';
   out << "config " << cfg.vocab_size << ' ' << cfg.max_len << ' ' << cfg.dim
       << ' ' << cfg.num_heads << ' ' << cfg.num_layers << ' ' << cfg.ffn_dim
@@ -54,7 +51,8 @@ Status SaveRanker(LearnShapleyRanker& ranker, const std::string& path) {
     out << vocab.token(static_cast<int>(i)) << '\n';
   }
 
-  // Weights: one tensor per line, lossless hex floats.
+  // Weights: one tensor per line, lossless hex floats. They are the only
+  // weights stored; a quantized ranker re-derives its int8 model on load.
   std::vector<Param*> params = ranker.model().Params();
   out << "tensors " << params.size() << '\n';
   for (Param* p : params) {
@@ -64,54 +62,38 @@ Status SaveRanker(LearnShapleyRanker& ranker, const std::string& path) {
     }
     out << '\n';
   }
+  out << "mode " << InferenceModeName(ranker.config().mode) << '\n';
 
-  // Optional quantized section: present iff the ranker carries an int8
-  // model.
-  if (const QuantizedShapleyModel* q = ranker.quantized_model()) {
-    const auto linears = q->AllLinears();
-    out << "quant " << linears.size() << ' '
-        << InferenceModeName(ranker.config().mode) << '\n';
-    for (const QuantizedLinear* lin : linears) {
-      out << "qlinear " << lin->in() << ' ' << lin->out() << ' '
-          << lin->in_pad() << '\n';
-      out << "qscales";
-      for (float s : lin->scales()) {
-        out << ' ' << StrFormat("%a", static_cast<double>(s));
-      }
-      out << '\n';
-      out << "qbias";
-      for (float b : lin->bias()) {
-        out << ' ' << StrFormat("%a", static_cast<double>(b));
-      }
-      out << '\n';
-      out << "qweights";
-      for (int8_t w : lin->weights()) out << ' ' << static_cast<int>(w);
-      out << '\n';
-    }
-    const std::string bytes = QuantCanonicalBytes(*q);
-    out << "qchecksum "
-        << StrFormat("%016llx", static_cast<unsigned long long>(FnvChecksum(
-                                    bytes.data(), bytes.size())))
-        << '\n';
-  }
-
-  out.flush();
-  if (!out) {
-    out.close();
-    std::remove(tmp.c_str());
-    return Status::Internal("write to '" + tmp + "' failed");
-  }
-  out.close();
-  return CommitTempFile(path);
+  std::string text = out.str();
+  text += ChecksumLine(text, text.size());
+  return WriteFileAtomic(path, text);
 }
 
 Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
     const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open '" + path + "'");
+  Result<std::string> bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return bytes.status();
+  const std::string& text = *bytes;
   auto bad = [&](const std::string& what) {
     return Status::InvalidArgument("model file '" + path + "': " + what);
   };
+
+  // Header, then the checksum, before anything else is parsed.
+  if (text.compare(0, sizeof(kHeader), std::string(kHeader) + '\n') != 0) {
+    return bad("missing header");
+  }
+  const size_t body_size =
+      text.size() - std::min(text.size(), kChecksumLineSize);
+  if (body_size < sizeof(kHeader) || text[body_size - 1] != '\n' ||
+      text.compare(body_size, 9, "checksum ") != 0) {
+    return bad("missing checksum");
+  }
+  if (text.compare(body_size, kChecksumLineSize,
+                   ChecksumLine(text, body_size)) != 0) {
+    return bad("checksum mismatch");
+  }
+  std::istringstream in(text.substr(sizeof(kHeader), body_size -
+                                                         sizeof(kHeader)));
 
   std::string line;
   // Reads n whitespace-separated floats (lossless hex) into `out`. Each
@@ -129,20 +111,7 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
     }
     return Status::Ok();
   };
-  // Reads the next line as "<key> v0 v1 ..." with values.size() floats.
-  auto read_float_line = [&](const std::string& key, const std::string& what,
-                             std::vector<float>& values) {
-    if (!std::getline(in, line)) return bad("truncated " + what);
-    std::istringstream ls(line);
-    std::string word;
-    ls >> word;
-    if (word != key) return bad("malformed " + what);
-    return read_floats(ls, values.data(), values.size(), what);
-  };
 
-  if (!std::getline(in, line) || line != "LSHAP_MODEL 2") {
-    return bad("missing header");
-  }
   if (!std::getline(in, line) || !StartsWith(line, "name ")) {
     return bad("missing name");
   }
@@ -168,7 +137,9 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
   // Checked before any model is built: the attention constructor divides
   // by num_heads, and the encoder aborts on inputs longer than max_len. A
   // ranker input holds [CLS] and two [SEP]s.
-  if (cfg.num_heads == 0) return bad("num_heads must be at least 1");
+  if (cfg.dim == 0 || cfg.num_heads == 0) {
+    return bad("dim and num_heads must be at least 1");
+  }
   if (cfg.dim % cfg.num_heads != 0) {
     return bad(StrFormat("dim %zu is not divisible by num_heads %zu",
                          cfg.dim, cfg.num_heads));
@@ -191,6 +162,18 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
       vocab->AddTokens({line});
     }
     if (vocab->size() != cfg.vocab_size) return bad("vocab size mismatch");
+  }
+
+  // Every stored value takes at least two bytes (a separator and a digit),
+  // so tensors that cannot fit in the file are rejected before the model
+  // allocates them. With dim >= 1 these products bound every tensor.
+  const size_t max_values = body_size / 2;
+  if (!ProductAtMost({cfg.vocab_size, cfg.dim}, max_values) ||
+      !ProductAtMost({cfg.max_len, cfg.dim}, max_values) ||
+      !ProductAtMost({cfg.num_layers, cfg.dim, cfg.dim}, max_values) ||
+      !ProductAtMost({cfg.num_layers, cfg.dim, cfg.ffn_dim}, max_values)) {
+    return bad(StrFormat("config tensors do not fit in %zu values",
+                         max_values));
   }
 
   LearnShapleyModel model(cfg, cfg.seed);
@@ -219,78 +202,25 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
     if (!st.ok()) return st;
   }
 
-  // Optional quantized section. The shapes come from quantizing the
-  // just-loaded float model, then every scale/bias/weight is overwritten
-  // with the stored values and cross-checked against the FNV-1a checksum.
-  bool have_quant = false;
-  InferenceMode quant_mode = InferenceMode::kQuantized;
-  QuantizedShapleyModel qmodel;
-  if (std::getline(in, line) && StartsWith(line, "quant ")) {
-    std::istringstream ls(line);
-    std::string word;
-    std::string mode_name;
-    size_t count = 0;
-    ls >> word >> count >> mode_name;
-    if (!ls) return bad("malformed quant line");
-    if (mode_name == "float") {
-      quant_mode = InferenceMode::kFloat;
-    } else if (mode_name != "quantized") {
-      return bad("unknown quant mode '" + mode_name + "'");
-    }
-    qmodel = QuantizedShapleyModel::FromModel(model);
-    std::vector<QuantizedLinear*> linears = qmodel.MutableLinears();
-    if (count != linears.size()) return bad("quant linear count mismatch");
-    for (QuantizedLinear* lin : linears) {
-      if (!std::getline(in, line)) return bad("truncated quant section");
-      {
-        std::istringstream qs(line);
-        size_t in_dim = 0, out_dim = 0, in_pad = 0;
-        qs >> word >> in_dim >> out_dim >> in_pad;
-        if (word != "qlinear" || !qs || in_dim != lin->in() ||
-            out_dim != lin->out() || in_pad != lin->in_pad()) {
-          return bad("quant linear shape mismatch");
-        }
-      }
-      Status st =
-          read_float_line("qscales", "quant scales", lin->mutable_scales());
-      if (st.ok()) {
-        st = read_float_line("qbias", "quant bias", lin->mutable_bias());
-      }
-      if (!st.ok()) return st;
-      if (!std::getline(in, line)) return bad("truncated quant weights");
-      {
-        std::istringstream qs(line);
-        qs >> word;
-        if (word != "qweights") return bad("malformed quant weights");
-        for (int8_t& w : lin->mutable_weights()) {
-          int v = 0;
-          if (!(qs >> v) || v < -128 || v > 127) {
-            return bad("truncated quant weights");
-          }
-          w = static_cast<int8_t>(v);
-        }
-      }
-    }
-    if (!std::getline(in, line) || !StartsWith(line, "qchecksum ")) {
-      return bad("missing quant checksum");
-    }
-    const std::string bytes = QuantCanonicalBytes(qmodel);
-    const std::string want =
-        StrFormat("%016llx", static_cast<unsigned long long>(
-                                 FnvChecksum(bytes.data(), bytes.size())));
-    if (line.substr(10) != want) return bad("quant checksum mismatch");
-    have_quant = true;
+  RankerConfig config;
+  if (!std::getline(in, line) || !StartsWith(line, "mode ")) {
+    return bad("missing mode");
   }
+  const std::string mode = line.substr(5);
+  if (mode == InferenceModeName(InferenceMode::kQuantized)) {
+    config.WithMode(InferenceMode::kQuantized);
+  } else if (mode != InferenceModeName(InferenceMode::kFloat)) {
+    return bad("unknown mode '" + mode + "'");
+  }
+  if (std::getline(in, line)) return bad("data after the mode line");
 
   // The shapley_scale only affects the (monotone) rescaling of scores, not
   // the ranking; rankers are saved post-training so we keep the default.
   auto ranker = std::make_unique<LearnShapleyRanker>(
       std::move(model), std::move(vocab), ranker_max_len, 1000.0f, name);
-  if (have_quant) {
-    ranker->AdoptQuantizedModel(
-        std::make_shared<const QuantizedShapleyModel>(std::move(qmodel)));
-    ranker->Configure(RankerConfig{}.WithMode(quant_mode));
-  }
+  // Quantizing is deterministic and the float weights round-trip exactly,
+  // so the re-derived int8 model predicts what the saved one did.
+  ranker->Configure(config);
   return ranker;
 }
 

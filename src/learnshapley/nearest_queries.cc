@@ -85,7 +85,7 @@ std::vector<std::pair<size_t, double>> NearestQueriesScorer::Neighbors(
 
 ShapleyValues NearestQueriesScorer::Score(const Corpus& corpus,
                                           size_t entry_idx,
-                                          size_t contrib_idx) {
+                                          size_t contrib_idx) const {
   const TupleContribution& contrib =
       corpus.entries[entry_idx].contributions[contrib_idx];
   scores_.Inc();
@@ -114,10 +114,6 @@ ShapleyValues NearestQueriesScorer::Score(const Corpus& corpus,
                  : sum / static_cast<double>(neighbors.size());
   }
   return out;
-}
-
-std::unique_ptr<FactScorer> NearestQueriesScorer::Clone() const {
-  return std::make_unique<NearestQueriesScorer>(*this);
 }
 
 std::string NearestQueriesScorer::name() const {

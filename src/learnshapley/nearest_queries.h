@@ -1,7 +1,6 @@
 #ifndef LSHAP_LEARNSHAPLEY_NEAREST_QUERIES_H_
 #define LSHAP_LEARNSHAPLEY_NEAREST_QUERIES_H_
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -29,8 +28,7 @@ class NearestQueriesScorer : public FactScorer {
                        std::vector<size_t> train_subset = {});
 
   ShapleyValues Score(const Corpus& corpus, size_t entry_idx,
-                      size_t contrib_idx) override;
-  std::unique_ptr<FactScorer> Clone() const override;
+                      size_t contrib_idx) const override;
   std::string name() const override;
 
   // The n nearest training entries (by the configured metric) to the given
@@ -39,7 +37,6 @@ class NearestQueriesScorer : public FactScorer {
 
   // Observability opt-in: histograms how many KNN candidates each Score
   // call ranks (knn.candidates) and counts scoring calls (knn.scores).
-  // Copied by Clone, like LearnShapleyRanker's handles.
   void set_metrics(MetricsRegistry* registry);
 
  private:

@@ -51,16 +51,10 @@ void LearnShapleyRanker::set_metrics(MetricsRegistry* registry) {
 
 void LearnShapleyRanker::Configure(const RankerConfig& config) {
   config_ = config;
-  if (config_.mode == InferenceMode::kQuantized && quant_ == nullptr) {
+  if (config_.mode == InferenceMode::kQuantized) {
     quant_ = std::make_shared<const QuantizedShapleyModel>(
         QuantizedShapleyModel::FromModel(model_));
   }
-}
-
-void LearnShapleyRanker::AdoptQuantizedModel(
-    std::shared_ptr<const QuantizedShapleyModel> q) {
-  quant_ = std::move(q);
-  config_.mode = InferenceMode::kQuantized;
 }
 
 double LearnShapleyRanker::PredictEncoded(const EncodedPair& input) const {
@@ -120,7 +114,7 @@ Result<ShapleyValues> LearnShapleyRanker::ScoreLineageBudgeted(
 
 ShapleyValues LearnShapleyRanker::Score(const Corpus& corpus,
                                         size_t entry_idx,
-                                        size_t contrib_idx) {
+                                        size_t contrib_idx) const {
   const CorpusEntry& entry = corpus.entries[entry_idx];
   const TupleContribution& contrib = entry.contributions[contrib_idx];
   std::vector<FactId> lineage;
@@ -129,7 +123,7 @@ ShapleyValues LearnShapleyRanker::Score(const Corpus& corpus,
   return ScoreLineage(*corpus.db, entry.query, contrib.tuple, lineage);
 }
 
-std::unique_ptr<FactScorer> LearnShapleyRanker::Clone() const {
+std::unique_ptr<LearnShapleyRanker> LearnShapleyRanker::Clone() const {
   return std::make_unique<LearnShapleyRanker>(*this);
 }
 

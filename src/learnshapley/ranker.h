@@ -64,20 +64,19 @@ class LearnShapleyRanker : public FactScorer {
 
   // FactScorer interface (reads only the lineage keys).
   ShapleyValues Score(const Corpus& corpus, size_t entry_idx,
-                      size_t contrib_idx) override;
-  std::unique_ptr<FactScorer> Clone() const override;
+                      size_t contrib_idx) const override;
   std::string name() const override { return name_; }
 
-  // Applies the inference settings. Switching to kQuantized quantizes the
-  // current float weights unless a quantized model was already adopted
-  // (e.g. from model_io). Not thread-safe against concurrent scoring —
-  // configure before sharing, like set_metrics.
+  // An independent copy that shares the quantized model, if any.
+  std::unique_ptr<LearnShapleyRanker> Clone() const;
+
+  // Applies the inference settings. kQuantized quantizes the current float
+  // weights, every time, so the int8 model has one source. Not thread-safe
+  // against concurrent scoring — configure before sharing, like
+  // set_metrics.
   void Configure(const RankerConfig& config);
   const RankerConfig& config() const { return config_; }
 
-  // Installs a pre-built quantized model (deserialization path) and
-  // switches to quantized mode. Clones share the instance.
-  void AdoptQuantizedModel(std::shared_ptr<const QuantizedShapleyModel> q);
   const QuantizedShapleyModel* quantized_model() const {
     return quant_.get();
   }

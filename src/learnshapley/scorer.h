@@ -1,7 +1,6 @@
 #ifndef LSHAP_LEARNSHAPLEY_SCORER_H_
 #define LSHAP_LEARNSHAPLEY_SCORER_H_
 
-#include <memory>
 #include <string>
 
 #include "corpus/corpus.h"
@@ -20,11 +19,10 @@ class FactScorer {
 
   // Scores every lineage fact of corpus.entries[entry_idx]
   // .contributions[contrib_idx]. Higher = more contributing.
+  // Const and safe to call from many threads at once: evaluation scores
+  // one shared instance from every worker.
   virtual ShapleyValues Score(const Corpus& corpus, size_t entry_idx,
-                              size_t contrib_idx) = 0;
-
-  // Independent copy for parallel evaluation.
-  virtual std::unique_ptr<FactScorer> Clone() const = 0;
+                              size_t contrib_idx) const = 0;
 
   virtual std::string name() const = 0;
 };

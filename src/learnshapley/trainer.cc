@@ -113,44 +113,37 @@ EncoderConfig MakeEncoderConfig(TrainConfig::ModelSize size,
 }
 
 // Mean MSE of the enabled similarity heads over a set of pair samples,
-// evaluated in parallel; the workers share the const model.
+// evaluated in parallel; the workers share the const model. Each pair's
+// error has its own slot and the slots are summed in pair order, so the
+// result does not depend on the thread count.
 double PairMse(const std::vector<PairSample>& pairs,
                const PretrainObjectives& objectives,
                const LearnShapleyModel& model, ThreadPool& pool) {
   if (pairs.empty()) return 0.0;
-  const size_t num_workers = std::max<size_t>(1, pool.num_threads());
-  std::vector<double> sums(num_workers, 0.0);
-  std::atomic<size_t> next{0};
-  for (size_t w = 0; w < num_workers; ++w) {
-    pool.Schedule([&, w] {
-      for (;;) {
-        const size_t i = next.fetch_add(1);
-        if (i >= pairs.size()) return;
-        const auto sims = model.PredictSimilarities(pairs[i].input);
-        double err = 0.0;
-        int terms = 0;
-        if (objectives.rank) {
-          const double d = sims.rank - pairs[i].sim_rank;
-          err += d * d;
-          ++terms;
-        }
-        if (objectives.witness) {
-          const double d = sims.witness - pairs[i].sim_witness;
-          err += d * d;
-          ++terms;
-        }
-        if (objectives.syntax) {
-          const double d = sims.syntax - pairs[i].sim_syntax;
-          err += d * d;
-          ++terms;
-        }
-        sums[w] += terms > 0 ? err / terms : 0.0;
-      }
-    });
-  }
-  pool.Wait();
+  std::vector<double> errors(pairs.size(), 0.0);
+  ParallelFor(pool, pairs.size(), [&](size_t i) {
+    const auto sims = model.PredictSimilarities(pairs[i].input);
+    double err = 0.0;
+    int terms = 0;
+    if (objectives.rank) {
+      const double d = sims.rank - pairs[i].sim_rank;
+      err += d * d;
+      ++terms;
+    }
+    if (objectives.witness) {
+      const double d = sims.witness - pairs[i].sim_witness;
+      err += d * d;
+      ++terms;
+    }
+    if (objectives.syntax) {
+      const double d = sims.syntax - pairs[i].sim_syntax;
+      err += d * d;
+      ++terms;
+    }
+    errors[i] = terms > 0 ? err / terms : 0.0;
+  });
   double total = 0.0;
-  for (double s : sums) total += s;
+  for (double e : errors) total += e;
   return total / static_cast<double>(pairs.size());
 }
 

@@ -175,30 +175,4 @@ void QuantizedEncoder::Forward(const std::vector<int>& ids,
   final_ln_.ForwardInference(*cur, out);
 }
 
-std::vector<const QuantizedLinear*> QuantizedEncoder::AllLinears() const {
-  std::vector<const QuantizedLinear*> out;
-  for (const auto& l : layers_) {
-    out.push_back(&l.q_proj);
-    out.push_back(&l.k_proj);
-    out.push_back(&l.v_proj);
-    out.push_back(&l.out_proj);
-    out.push_back(&l.ffn1);
-    out.push_back(&l.ffn2);
-  }
-  return out;
-}
-
-std::vector<QuantizedLinear*> QuantizedEncoder::MutableLinears() {
-  std::vector<QuantizedLinear*> out;
-  for (auto& l : layers_) {
-    out.push_back(&l.q_proj);
-    out.push_back(&l.k_proj);
-    out.push_back(&l.v_proj);
-    out.push_back(&l.out_proj);
-    out.push_back(&l.ffn1);
-    out.push_back(&l.ffn2);
-  }
-  return out;
-}
-
 }  // namespace lshap

@@ -39,13 +39,7 @@ class QuantizedLinear {
   size_t out() const { return out_; }
   size_t in_pad() const { return in_pad_; }
   const std::vector<float>& scales() const { return scales_; }
-  const std::vector<float>& bias() const { return bias_; }
   const std::vector<int8_t>& weights() const { return weights_; }
-
-  // Mutable views for deserialization (model_io); shapes must already match.
-  std::vector<float>& mutable_scales() { return scales_; }
-  std::vector<float>& mutable_bias() { return bias_; }
-  std::vector<int8_t>& mutable_weights() { return weights_; }
 
  private:
   size_t in_ = 0;
@@ -103,14 +97,6 @@ class QuantizedEncoder {
                size_t out_rows = kAllRows) const;
 
   const EncoderConfig& config() const { return config_; }
-  const std::vector<QuantizedTransformerLayer>& layers() const {
-    return layers_;
-  }
-
-  // All int8 layers in a fixed order (per layer: q,k,v,out,ffn1,ffn2) —
-  // the serialization walk order of model_io's quantized section.
-  std::vector<const QuantizedLinear*> AllLinears() const;
-  std::vector<QuantizedLinear*> MutableLinears();
 
  private:
   EncoderConfig config_;

@@ -108,8 +108,11 @@ std::string Dnf::ToString() const {
   for (const auto& c : clauses_) {
     std::vector<std::string> vars;
     vars.reserve(c.size());
-    for (FactId f : c) vars.push_back("x" + std::to_string(f));
-    clause_strs.push_back("(" + Join(vars, " & ") + ")");
+    for (FactId f : c) {
+      vars.push_back(std::string("x").append(std::to_string(f)));
+    }
+    clause_strs.push_back(
+        std::string("(").append(Join(vars, " & ")).append(")"));
   }
   return clause_strs.empty() ? "false" : Join(clause_strs, " | ");
 }

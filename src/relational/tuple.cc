@@ -8,7 +8,7 @@ std::string OutputTupleToString(const OutputTuple& t) {
   std::vector<std::string> parts;
   parts.reserve(t.size());
   for (const Value& v : t) parts.push_back(v.ToString());
-  return "(" + Join(parts, ", ") + ")";
+  return std::string("(").append(Join(parts, ", ")).append(")");
 }
 
 }  // namespace lshap

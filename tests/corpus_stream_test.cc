@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <thread>
 
 #include "corpus/corpus.h"
@@ -27,7 +28,7 @@ namespace {
 class HashScorer : public FactScorer {
  public:
   ShapleyValues Score(const Corpus& corpus, size_t entry_idx,
-                      size_t contrib_idx) override {
+                      size_t contrib_idx) const override {
     const TupleContribution& c =
         corpus.entries[entry_idx].contributions[contrib_idx];
     ShapleyValues out;
@@ -35,9 +36,6 @@ class HashScorer : public FactScorer {
       out[f] = static_cast<double>((f * 2654435761u) % 1000u);
     }
     return out;
-  }
-  std::unique_ptr<FactScorer> Clone() const override {
-    return std::make_unique<HashScorer>();
   }
   std::string name() const override { return "hash"; }
 };
@@ -214,6 +212,47 @@ TEST_F(CorpusStreamTest, StreamingEvaluatorRejectsBadSplit) {
   auto streamed = EvaluateScorerStream(stream, bad, scorer, {}, pool_);
   ASSERT_FALSE(streamed.ok());
   EXPECT_EQ(streamed.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A pool that rejects work used to leave every point zeroed and NDCG 0
+// with an OK status.
+TEST_F(CorpusStreamTest, StreamingEvaluatorFailsOnShutDownPool) {
+  ShardedCorpusStream stream = OpenSharded(2);
+  HashScorer scorer;
+  ThreadPool stopped(2);
+  stopped.Shutdown();
+  auto streamed =
+      EvaluateScorerStream(stream, stream.test_idx(), scorer, {}, stopped);
+  ASSERT_FALSE(streamed.ok());
+  EXPECT_EQ(streamed.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// The dev MSE sums one error per pair in pair order, so it reads the same
+// bits at any thread count. With no pre-training pairs the model stays at
+// its seeded initialisation, and only the dev scoring runs in parallel.
+TEST_F(CorpusStreamTest, PretrainDevMseIsIndependentOfThreadCount) {
+  const SimilarityMatrices sims =
+      ComputeSimilarityMatrices(corpus_, 16, pool_);
+  TrainConfig cfg;
+  cfg.model_size = TrainConfig::ModelSize::kSmallAblation;
+  cfg.pretrain_epochs = 1;
+  cfg.pretrain_pairs_per_epoch = 0;
+  cfg.finetune_epochs = 0;
+  cfg.seed = 7;
+
+  std::vector<double> mse;
+  for (size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    InMemoryCorpusStream stream(corpus_);
+    auto result = TrainLearnShapleyStream(stream, &sims, cfg, pool);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    mse.push_back(result->pretrain_dev_mse);
+  }
+  EXPECT_GT(mse[0], 0.0);  // the dev pairs were scored
+  for (double m : mse) {
+    EXPECT_EQ(std::memcmp(&m, &mse[0], sizeof(double)), 0)
+        << m << " vs " << mse[0];
+  }
 }
 
 TEST_F(CorpusStreamTest, StreamTrainerOneShardRoundTripTrainsIdentically) {

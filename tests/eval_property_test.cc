@@ -255,7 +255,8 @@ TEST(EvalPropertyTest, MatchesNaiveEvaluatorOnRandomQueries) {
 
   size_t nonempty = 0;
   for (int trial = 0; trial < 60; ++trial) {
-    const Query q = gen.Generate("p" + std::to_string(trial));
+    const Query q =
+        gen.Generate(std::string("p").append(std::to_string(trial)));
     const auto want = NaiveQuery(*data.db, q);
     if (!want.empty()) ++nonempty;
     CheckAgainstReference(*data.db, q);
@@ -274,7 +275,8 @@ TEST(EvalPropertyTest, MatchesNaiveEvaluatorOnIntJoins) {
 
   size_t nonempty = 0;
   for (int trial = 0; trial < 40; ++trial) {
-    const Query q = gen.Generate("a" + std::to_string(trial));
+    const Query q =
+        gen.Generate(std::string("a").append(std::to_string(trial)));
     if (!NaiveQuery(*data.db, q).empty()) ++nonempty;
     CheckAgainstReference(*data.db, q);
   }
@@ -299,7 +301,8 @@ TEST(EvalPropertyTest, MatchesNaiveEvaluatorOnOrderedStringPredicates) {
   size_t ordered = 0;
   size_t nonempty = 0;
   for (int trial = 0; trial < 40; ++trial) {
-    const Query q = gen.Generate("o" + std::to_string(trial));
+    const Query q =
+        gen.Generate(std::string("o").append(std::to_string(trial)));
     ordered += CountOrderedStringSelections(q);
     if (!NaiveQuery(*data.db, q).empty()) ++nonempty;
     CheckAgainstReference(*data.db, q);
@@ -393,7 +396,8 @@ TEST(EvalPropertyTest, MatchesNaiveEvaluatorWithNullCells) {
   QueryGenerator gen(data.db.get(), data.graph, gen_cfg, 909);
   size_t nonempty = 0;
   for (int trial = 0; trial < 40; ++trial) {
-    const Query q = gen.Generate("n" + std::to_string(trial));
+    const Query q =
+        gen.Generate(std::string("n").append(std::to_string(trial)));
     if (!NaiveQuery(*data.db, q).empty()) ++nonempty;
     CheckAgainstReference(*data.db, q);
   }
@@ -528,7 +532,8 @@ TEST(EvalPropertyTest, EveryClauseJoinsOneFactPerTable) {
   cfg.max_tables = 3;
   QueryGenerator gen(data.db.get(), data.graph, cfg, 31);
   for (int trial = 0; trial < 20; ++trial) {
-    const Query q = gen.Generate("c" + std::to_string(trial));
+    const Query q =
+        gen.Generate(std::string("c").append(std::to_string(trial)));
     if (q.blocks.size() != 1) continue;
     auto result = Evaluate(*data.db, q);
     ASSERT_TRUE(result.ok());

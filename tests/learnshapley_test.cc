@@ -18,15 +18,12 @@ namespace {
 class ArbitraryScorer : public FactScorer {
  public:
   ShapleyValues Score(const Corpus& corpus, size_t entry_idx,
-                      size_t contrib_idx) override {
+                      size_t contrib_idx) const override {
     const auto& gold =
         corpus.entries[entry_idx].contributions[contrib_idx].shapley;
     ShapleyValues out;
     for (const auto& [f, v] : gold) out[f] = static_cast<double>(f % 97);
     return out;
-  }
-  std::unique_ptr<FactScorer> Clone() const override {
-    return std::make_unique<ArbitraryScorer>(*this);
   }
   std::string name() const override { return "arbitrary"; }
 };

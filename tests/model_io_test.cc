@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -9,7 +9,10 @@
 #include <vector>
 
 #include "common/fileio.h"
+#include "common/rng.h"
+#include "common/strings.h"
 #include "corpus/corpus.h"
+#include "corpus/format.h"
 #include "datasets/imdb.h"
 #include "learnshapley/model_io.h"
 #include "learnshapley/trainer.h"
@@ -17,6 +20,34 @@
 
 namespace lshap {
 namespace {
+
+std::string ReadText(const std::string& path) {
+  Result<std::string> bytes = ReadFileBytes(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *bytes : std::string();
+}
+
+void WriteText(const std::string& path, const std::string& text) {
+  ASSERT_TRUE(WriteFileAtomic(path, text).ok());
+}
+
+// Re-seals an edited model file: drops its last line if that is a checksum
+// line, and appends a checksum over every byte before it, so the load runs
+// past the checksum check.
+void Reseal(std::string& text) {
+  if (!text.empty() && text.back() != '\n') text += '\n';
+  const size_t last =
+      text.size() < 2 ? std::string::npos : text.rfind('\n', text.size() - 2);
+  const size_t begin = last == std::string::npos ? 0 : last + 1;
+  if (text.compare(begin, 9, "checksum ") == 0) text.resize(begin);
+  text += StrFormat("checksum %016llx\n",
+                    static_cast<unsigned long long>(
+                        FnvChecksum(text.data(), text.size())));
+}
+
+bool SameBits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
 
 class ModelIoTest : public ::testing::Test {
  protected:
@@ -42,24 +73,19 @@ class ModelIoTest : public ::testing::Test {
     return TrainLearnShapley(corpus_, sims_, cfg, pool_);
   }
 
-  // Saves a quick-trained ranker to path_, applies `edit` to the file's
-  // text, and loads the result.
+  // Applies `edit` to the saved file of a quick-trained ranker (trained
+  // once per test), re-seals the checksum, and loads the result.
   Result<std::unique_ptr<LearnShapleyRanker>> LoadEdited(
       const std::function<void(std::string&)>& edit) {
-    TrainResult trained = QuickTrain();
-    EXPECT_TRUE(SaveRanker(*trained.ranker, path_).ok());
-    std::string text;
-    {
-      std::ifstream in(path_);
-      std::stringstream ss;
-      ss << in.rdbuf();
-      text = ss.str();
+    if (saved_.empty()) {
+      TrainResult trained = QuickTrain();
+      EXPECT_TRUE(SaveRanker(*trained.ranker, path_).ok());
+      saved_ = ReadText(path_);
     }
+    std::string text = saved_;
     edit(text);
-    {
-      std::ofstream out(path_);
-      out << text;
-    }
+    Reseal(text);
+    WriteText(path_, text);
     return LoadRanker(path_);
   }
 
@@ -68,6 +94,7 @@ class ModelIoTest : public ::testing::Test {
   Corpus corpus_;
   SimilarityMatrices sims_;
   std::string path_;
+  std::string saved_;
 };
 
 // Offset of the line after the first line that starts with `key`.
@@ -159,6 +186,27 @@ TEST_F(ModelIoTest, LoadRejectsZeroHeads) {
                 "num_heads must be at least 1");
 }
 
+// A config whose tensors hold more values than the file has bytes used to
+// abort the load with std::bad_alloc while the model was being built.
+TEST_F(ModelIoTest, LoadRejectsConfigLargerThanTheFile) {
+  const struct {
+    size_t field;
+    const char* value;
+  } kCases[] = {
+      {5, "1000000000000"},         // num_layers
+      {2, "1000000000000"},         // max_len
+      {6, "100000000000"},          // ffn_dim
+      {3, "1000000000000"},         // dim (4 heads divide it)
+      {6, "18446744073709551615"},  // ffn_dim: the product overflows
+  };
+  for (const auto& c : kCases) {
+    ExpectInvalid(LoadEdited([&](std::string& text) {
+                    SetKeyField(text, "config", c.field, c.value);
+                  }),
+                  "config tensors do not fit");
+  }
+}
+
 TEST_F(ModelIoTest, LoadRejectsDimNotDivisibleByHeads) {
   ExpectInvalid(LoadEdited([](std::string& text) {
                   SetKeyField(text, "config", 4, "5");  // dim is 48
@@ -188,6 +236,38 @@ TEST_F(ModelIoTest, LoadRejectsMalformedTensorValue) {
                 "malformed tensor data value 'zz'");
 }
 
+TEST_F(ModelIoTest, LoadRejectsUnknownMode) {
+  ExpectInvalid(LoadEdited([](std::string& text) {
+                  SetKeyField(text, "mode", 1, "int4");
+                }),
+                "unknown mode 'int4'");
+}
+
+// Version-2 files carried a second, int8 copy of the weights; they are no
+// longer read.
+TEST_F(ModelIoTest, LoadRejectsVersionTwoHeader) {
+  ExpectInvalid(LoadEdited([](std::string& text) {
+                  text.replace(0, text.find('\n'), "LSHAP_MODEL 2");
+                }),
+                "missing header");
+}
+
+// One hex digit of one weight, changed in place: every line still parses,
+// so only the whole-file checksum can tell.
+TEST_F(ModelIoTest, FlippedWeightFailsChecksum) {
+  TrainResult trained = QuickTrain();
+  ASSERT_TRUE(SaveRanker(*trained.ranker, path_).ok());
+  std::string text = ReadText(path_);
+  const size_t line = LineAfter(text, "tensors");
+  // The digit before the first value's binary exponent.
+  const size_t exponent = text.find('p', line);
+  ASSERT_LT(exponent, text.find('\n', line));
+  char& digit = text[exponent - 1];
+  digit = digit == '0' ? '1' : '0';
+  WriteText(path_, text);
+  ExpectInvalid(LoadRanker(path_), "checksum");
+}
+
 TEST_F(ModelIoTest, SaveIsAtomicAndRecoversFromKilledWriter) {
   // A writer killed mid-save leaves only a temp file; the final path never
   // holds a partial model.
@@ -206,7 +286,7 @@ TEST_F(ModelIoTest, SaveIsAtomicAndRecoversFromKilledWriter) {
   EXPECT_FALSE(tmp.good());
 }
 
-TEST_F(ModelIoTest, QuantizedSectionRoundTrips) {
+TEST_F(ModelIoTest, QuantizedModeRoundTrips) {
   TrainResult trained = QuickTrain();
   trained.ranker->Configure(
       RankerConfig{}.WithMode(InferenceMode::kQuantized));
@@ -218,52 +298,132 @@ TEST_F(ModelIoTest, QuantizedSectionRoundTrips) {
   EXPECT_EQ((*loaded)->config().mode, InferenceMode::kQuantized);
   ASSERT_NE((*loaded)->quantized_model(), nullptr);
 
-  // The int8 weights, scales and biases round-trip losslessly: identical
-  // quantized predictions on a fixed input.
+  // The file holds only the float weights. The int8 model re-derived from
+  // them on load predicts bit for bit what the saved one did, and so does
+  // the float model.
   EncodedPair input;
   input.ids = {Vocab::kCls, 7, 9, Vocab::kSep, 11};
   input.mask.assign(input.ids.size(), true);
   QuantScratch a, b;
-  EXPECT_EQ(trained.ranker->quantized_model()->PredictShapley(input, a),
-            (*loaded)->quantized_model()->PredictShapley(input, b));
-
-  // And so do the float weights next to them.
-  EXPECT_EQ(trained.ranker->model().PredictShapley(input),
-            (*loaded)->model().PredictShapley(input));
+  EXPECT_TRUE(
+      SameBits(trained.ranker->quantized_model()->PredictShapley(input, a),
+               (*loaded)->quantized_model()->PredictShapley(input, b)));
+  EXPECT_TRUE(SameBits(trained.ranker->model().PredictShapley(input),
+                       (*loaded)->model().PredictShapley(input)));
 }
 
-TEST_F(ModelIoTest, CorruptedQuantSectionIsRejected) {
-  TrainResult trained = QuickTrain();
-  trained.ranker->Configure(
-      RankerConfig{}.WithMode(InferenceMode::kQuantized));
-  ASSERT_TRUE(SaveRanker(*trained.ranker, path_).ok());
+// A small untrained ranker: the sweep needs a valid file, not a good model.
+std::unique_ptr<LearnShapleyRanker> TinyRanker() {
+  auto vocab = std::make_shared<Vocab>();
+  vocab->AddTokens({"select", "from", "where", "movies", "title", "year"});
+  EncoderConfig cfg;
+  cfg.vocab_size = vocab->size();
+  cfg.max_len = 16;
+  cfg.dim = 8;
+  cfg.num_heads = 2;
+  cfg.num_layers = 1;
+  cfg.ffn_dim = 16;
+  cfg.seed = 3;
+  auto ranker = std::make_unique<LearnShapleyRanker>(
+      LearnShapleyModel(cfg, cfg.seed), std::move(vocab), 12, 1000.0f,
+      "tiny");
+  ranker->Configure(RankerConfig{}.WithMode(InferenceMode::kQuantized));
+  return ranker;
+}
 
-  // Flip one int8 weight in the stored text. The per-line parse still
-  // succeeds — only the FNV-1a checksum can catch it.
-  std::string contents;
-  {
-    std::ifstream in(path_);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    contents = ss.str();
+// The int8 model is derived from the float weights: re-running Configure
+// after they change re-derives it. It used to keep the first int8 model.
+TEST(RankerConfigureTest, RequantizesTheCurrentWeights) {
+  std::unique_ptr<LearnShapleyRanker> ranker = TinyRanker();
+  for (Param* p : ranker->model().Params()) {
+    for (size_t i = 0; i < p->value.size(); ++i) p->value.data()[i] *= 2.0f;
   }
-  const size_t pos = contents.find("\nqweights ");
-  ASSERT_NE(pos, std::string::npos);
-  const size_t val_pos = pos + std::string("\nqweights ").size();
-  // Replace the first weight with a different in-range value.
-  const size_t val_end = contents.find_first_of(" \n", val_pos);
-  const int old_val = std::atoi(contents.substr(val_pos).c_str());
-  const int new_val = old_val == 13 ? 14 : 13;
-  contents.replace(val_pos, val_end - val_pos, std::to_string(new_val));
-  {
-    std::ofstream out(path_);
-    out << contents;
-  }
+  ranker->Configure(RankerConfig{}.WithMode(InferenceMode::kQuantized));
+  EncodedPair input;
+  input.ids = {Vocab::kCls, 6, 7, Vocab::kSep, 8};
+  input.mask.assign(input.ids.size(), true);
+  QuantScratch a, b;
+  EXPECT_TRUE(SameBits(
+      ranker->quantized_model()->PredictShapley(input, a),
+      QuantizedShapleyModel::FromModel(ranker->model()).PredictShapley(input,
+                                                                       b)));
+}
 
-  auto loaded = LoadRanker(path_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().ToString().find("checksum"), std::string::npos)
-      << loaded.status().ToString();
+// One seeded mutation of a model file: a bit flip, a truncation, a line
+// deleted or duplicated, or a random 1-20 digit number written into a count
+// field of the config, ranker, vocab or tensors line.
+std::string MutateModel(const std::string& in, Rng& rng) {
+  std::string out = in;
+  std::vector<size_t> starts = {0};
+  for (size_t i = 0; i + 1 < out.size(); ++i) {
+    if (out[i] == '\n') starts.push_back(i + 1);
+  }
+  const size_t line = starts[rng.NextBounded(starts.size())];
+  const size_t line_end = out.find('\n', line) + 1;
+  switch (rng.NextBounded(5)) {
+    case 0:
+      out[rng.NextBounded(out.size())] ^=
+          static_cast<char>(1u << rng.NextBounded(8));
+      break;
+    case 1:
+      out.resize(rng.NextBounded(out.size()));
+      break;
+    case 2:
+      out.erase(line, line_end - line);
+      break;
+    case 3:
+      out.insert(line, out.substr(line, line_end - line));
+      break;
+    default: {
+      static const struct {
+        const char* key;
+        size_t fields;
+      } kCountFields[] = {
+          {"config", 7}, {"ranker", 1}, {"vocab", 1}, {"tensors", 1}};
+      const auto& f = kCountFields[rng.NextBounded(4)];
+      std::string number(1, static_cast<char>('1' + rng.NextBounded(9)));
+      for (size_t d = rng.NextBounded(20); d > 0; --d) {
+        number += static_cast<char>('0' + rng.NextBounded(10));
+      }
+      SetKeyField(out, f.key, 1 + rng.NextBounded(f.fields), number);
+      break;
+    }
+  }
+  return out;
+}
+
+TEST_F(ModelIoTest, SeededCorruptionSweepFailsCleanly) {
+  ASSERT_TRUE(SaveRanker(*TinyRanker(), path_).ok());
+  const std::string original = ReadText(path_);
+
+  Rng rng(20261019);
+  constexpr int kMutations = 600;
+  size_t clean_loads = 0;
+  size_t failures_past_checksum = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string mutated = MutateModel(original, rng);
+    // Half the mutations carry a valid checksum, so parsing runs past it.
+    if (i % 2 == 0) Reseal(mutated);
+    WriteText(path_, mutated);
+
+    auto loaded = LoadRanker(path_);
+    SCOPED_TRACE(testing::Message() << "mutation " << i);
+    if (!loaded.ok()) {
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_FALSE(loaded.status().message().empty());
+      const std::string& message = loaded.status().message();
+      if (message.find("checksum") == std::string::npos &&
+          message.find("header") == std::string::npos) {
+        ++failures_past_checksum;
+      }
+      continue;
+    }
+    ++clean_loads;
+    EXPECT_GE((*loaded)->model().encoder_config().dim, 1u);
+  }
+  // The sweep reached both outcomes, and the parser behind the checksum.
+  EXPECT_GT(clean_loads, 0u);
+  EXPECT_GT(failures_past_checksum, 0u);
 }
 
 }  // namespace

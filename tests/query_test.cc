@@ -121,7 +121,7 @@ TEST_F(GeneratorTest, MutateChangesSomething) {
   Query base = gen_.Generate("base");
   int changed = 0;
   for (int i = 0; i < 20; ++i) {
-    Query m = gen_.Mutate(base, "m" + std::to_string(i));
+    Query m = gen_.Mutate(base, std::string("m").append(std::to_string(i)));
     if (m.ToSql() != base.ToSql()) ++changed;
   }
   EXPECT_GT(changed, 10);
@@ -189,7 +189,7 @@ TEST(GeneratorPinTest, OrderKnobEmitsOrderedStringSelections) {
   size_t ordered = 0;
   size_t prefix = 0;
   for (int i = 0; i < 60; ++i) {
-    const Query q = gen.Generate("k" + std::to_string(i));
+    const Query q = gen.Generate(std::string("k").append(std::to_string(i)));
     for (const auto& block : q.blocks) {
       for (const auto& sel : block.selections) {
         const bool is_order =

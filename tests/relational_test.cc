@@ -118,7 +118,8 @@ TEST(StringPoolTest, InternDedupsAndFinds) {
 TEST(StringPoolTest, IdsAreDense) {
   StringPool pool;
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(pool.Intern("s" + std::to_string(i)), static_cast<StringId>(i));
+    EXPECT_EQ(pool.Intern(std::string("s").append(std::to_string(i))),
+              static_cast<StringId>(i));
   }
 }
 

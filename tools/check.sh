@@ -10,7 +10,8 @@
 #       evaluation over validity bitmaps at 1/2/8 threads, and a
 #       forced-bitmap join log on a 4-thread pool
 #       (null_semantics_test), the budget/cancellation machinery
-#       (budget_test), the ThreadPool stress test (common_test), the
+#       (budget_test), parallel ladder waves under deadline cancellation
+#       (corpus_budget_test), the ThreadPool stress test (common_test), the
 #       sharded metrics registry (metrics_test), the corpus shard
 #       streaming layer — concurrent ReadShard + cursor prefetch, and
 #       pre-training + fine-tuning on a 4-thread pool (corpus_stream_test)
@@ -38,9 +39,10 @@ case "$MODE" in
   thread)
     BUILD_DIR="${BUILD_DIR:-build-tsan}"
     CMAKE_MODE=thread
-    # ^metrics_test$ is anchored: a bare 'metrics_test' would also match
-    # ranking_metrics_test, which is single-threaded and slow under TSan.
-    TEST_ARGS=(-R 'eval_property_test|null_semantics_test|budget_test|common_test|^metrics_test$|corpus_stream_test|serving_test|quant_test')
+    # ^metrics_test$ and ^budget_test$ are anchored: bare names would also
+    # match ranking_metrics_test (single-threaded and slow under TSan) and
+    # corpus_budget_test, which is listed on its own.
+    TEST_ARGS=(-R 'eval_property_test|null_semantics_test|^budget_test$|^corpus_budget_test$|common_test|^metrics_test$|corpus_stream_test|serving_test|quant_test')
     ;;
   serve)
     BUILD_DIR="${BUILD_DIR:-build}"
