@@ -1,6 +1,7 @@
 #include "learnshapley/model_io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <initializer_list>
 #include <sstream>
 
@@ -12,7 +13,7 @@ namespace lshap {
 
 namespace {
 
-constexpr char kHeader[] = "LSHAP_MODEL 3";
+constexpr char kHeader[] = "LSHAP_MODEL 4";
 
 // A file's last line: FNV-1a (the corpus shards' primitive) over the
 // first `n` bytes of `text`, which are every byte before that line.
@@ -42,7 +43,8 @@ Status SaveRanker(LearnShapleyRanker& ranker, const std::string& path) {
   out << "config " << cfg.vocab_size << ' ' << cfg.max_len << ' ' << cfg.dim
       << ' ' << cfg.num_heads << ' ' << cfg.num_layers << ' ' << cfg.ffn_dim
       << ' ' << cfg.seed << '\n';
-  out << "ranker " << ranker.max_len() << '\n';
+  out << "ranker " << ranker.max_len() << ' '
+      << StrFormat("%a", static_cast<double>(ranker.shapley_scale())) << '\n';
 
   // Vocabulary (skip the builtin specials; they are recreated on load).
   const Vocab& vocab = ranker.vocab();
@@ -127,12 +129,20 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
     if (word != "config" || !ls) return bad("malformed config");
   }
   size_t ranker_max_len = 0;
+  float shapley_scale = 0.0f;
   {
     if (!std::getline(in, line)) return bad("missing ranker line");
     std::istringstream ls(line);
     std::string word;
     ls >> word >> ranker_max_len;
     if (word != "ranker" || !ls) return bad("malformed ranker line");
+    Status st = read_floats(ls, &shapley_scale, 1, "shapley scale");
+    if (!st.ok()) return st;
+    // Scores are divided by the scale.
+    if (!std::isfinite(shapley_scale) || shapley_scale <= 0.0f) {
+      return bad(StrFormat("shapley scale %g must be finite and positive",
+                           static_cast<double>(shapley_scale)));
+    }
   }
   // Checked before any model is built: the attention constructor divides
   // by num_heads, and the encoder aborts on inputs longer than max_len. A
@@ -214,10 +224,9 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
   }
   if (std::getline(in, line)) return bad("data after the mode line");
 
-  // The shapley_scale only affects the (monotone) rescaling of scores, not
-  // the ranking; rankers are saved post-training so we keep the default.
   auto ranker = std::make_unique<LearnShapleyRanker>(
-      std::move(model), std::move(vocab), ranker_max_len, 1000.0f, name);
+      std::move(model), std::move(vocab), ranker_max_len, shapley_scale,
+      name);
   // Quantizing is deterministic and the float weights round-trip exactly,
   // so the re-derived int8 model predicts what the saved one did.
   ranker->Configure(config);

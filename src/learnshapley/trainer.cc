@@ -1,7 +1,7 @@
 #include "learnshapley/trainer.h"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <chrono>
 #include <utility>
 
@@ -33,46 +33,44 @@ struct SampleRef {
   float target;
 };
 
-// Runs batches across worker-local model clones, summing gradients into the
-// main model. Weights are re-broadcast to the clones before every batch.
+// Runs batches across a fixed number of model clones, the lanes, and sums
+// their gradients into the main model. Sample i of a batch goes to lane
+// i mod kLanes, which steps on its samples in index order on whichever pool
+// thread runs it; the main model then adds the lanes in lane order, and the
+// losses follow the same layout. So every sum, and the trained weights,
+// come out the same at any thread count. Weights are re-broadcast to the
+// clones before every batch.
 class DataParallelRunner {
  public:
+  static constexpr size_t kLanes = 8;
+
   DataParallelRunner(LearnShapleyModel* main, ThreadPool* pool)
-      : main_(main), pool_(pool) {
-    const size_t n = std::max<size_t>(1, pool->num_threads());
-    clones_.reserve(n);
-    for (size_t i = 0; i < n; ++i) clones_.push_back(*main);
-  }
+      : main_(main), pool_(pool), clones_(kLanes, *main) {}
 
   // fn(model, index) must run the sample at `index` through `model`
   // (accumulating grads inside the model) and return its loss.
   template <typename Fn>
   float RunBatch(size_t batch_begin, size_t batch_end, const Fn& fn) {
     Broadcast();
-    std::atomic<size_t> next{batch_begin};
-    std::vector<float> losses(clones_.size(), 0.0f);
-    for (size_t w = 0; w < clones_.size(); ++w) {
-      pool_->Schedule([&, w] {
-        for (;;) {
-          const size_t i = next.fetch_add(1);
-          if (i >= batch_end) return;
-          losses[w] += fn(clones_[w], i);
-        }
-      });
-    }
-    pool_->Wait();
-    // Sum clone gradients into the main model, normalized by batch size.
+    const size_t lanes = std::min(kLanes, batch_end - batch_begin);
+    std::array<float, kLanes> losses{};
+    ParallelFor(*pool_, lanes, [&](size_t lane) {
+      for (size_t i = batch_begin + lane; i < batch_end; i += kLanes) {
+        losses[lane] += fn(clones_[lane], i);
+      }
+    });
+    // Sum lane gradients into the main model, normalized by batch size.
     const float inv = 1.0f / static_cast<float>(batch_end - batch_begin);
     std::vector<Param*> main_params = main_->Params();
-    for (auto& clone : clones_) {
-      std::vector<Param*> clone_params = clone.Params();
+    float total = 0.0f;
+    for (size_t lane = 0; lane < lanes; ++lane) {
+      std::vector<Param*> clone_params = clones_[lane].Params();
       for (size_t p = 0; p < main_params.size(); ++p) {
         main_params[p]->grad.AddScaled(clone_params[p]->grad, inv);
         clone_params[p]->ZeroGrad();
       }
+      total += losses[lane];
     }
-    float total = 0.0f;
-    for (float l : losses) total += l;
     return total;
   }
 

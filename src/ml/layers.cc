@@ -7,26 +7,6 @@
 
 namespace lshap {
 
-namespace {
-
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-
-// The float attention's row softmax. exp(-1e30 - max) underflows to 0, so
-// masked keys get weight exactly 0.
-void ExpSoftmax(float* x, size_t n) {
-  float max_v = -1e30f;
-  for (size_t j = 0; j < n; ++j) max_v = std::max(max_v, x[j]);
-  float sum = 0.0f;
-  for (size_t j = 0; j < n; ++j) {
-    x[j] = std::exp(x[j] - max_v);
-    sum += x[j];
-  }
-  const float inv = 1.0f / sum;
-  for (size_t j = 0; j < n; ++j) x[j] *= inv;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------- Linear
 
 Linear::Linear(size_t in, size_t out, Rng& rng) {
@@ -162,26 +142,14 @@ void LayerNorm::CollectParams(std::vector<Param*>& out) {
 // ------------------------------------------------------------------ Gelu
 
 void Gelu::ForwardInference(const Tensor& x, Tensor& y) {
-  y.Resize(x.rows(), x.cols());
-  for (size_t i = 0; i < x.size(); ++i) {
-    const float v = x.data()[i];
-    const float t = std::tanh(kGeluC * (v + 0.044715f * v * v * v));
-    y.data()[i] = 0.5f * v * (1.0f + t);
-  }
+  y.AssignTopRows(x, x.rows());
+  SimdKernels().gelu(y.data(), y.size());
 }
 
 Tensor Gelu::Backward(const Tensor& x, const Tensor& dy) {
   LSHAP_CHECK_EQ(x.size(), dy.size());
   Tensor dx(dy.rows(), dy.cols());
-  for (size_t i = 0; i < dy.size(); ++i) {
-    const float v = x.data()[i];
-    const float u = kGeluC * (v + 0.044715f * v * v * v);
-    const float t = std::tanh(u);
-    const float sech2 = 1.0f - t * t;
-    const float du = kGeluC * (1.0f + 3.0f * 0.044715f * v * v);
-    const float grad = 0.5f * (1.0f + t) + 0.5f * v * sech2 * du;
-    dx.data()[i] = dy.data()[i] * grad;
-  }
+  SimdKernels().gelu_backward(x.data(), dy.data(), dx.data(), dx.size());
   return dx;
 }
 
@@ -201,7 +169,7 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(size_t dim, size_t num_heads,
 
 void AttentionCore(const Tensor& q, const Tensor& k, const Tensor& v,
                    const std::vector<bool>& mask, size_t num_heads,
-                   RowSoftmax softmax, InferenceArena& arena, Tensor& concat,
+                   InferenceArena& arena, Tensor& concat,
                    std::vector<Tensor>* attn) {
   const size_t m = q.rows();
   const size_t n = k.rows();
@@ -216,24 +184,24 @@ void AttentionCore(const Tensor& q, const Tensor& k, const Tensor& v,
   TransposeInto(k, kt);
   Tensor& scores = arena.Get(m, n);
   if (attn != nullptr) attn->resize(num_heads);
-  const auto gemm = SimdKernels().gemm_f32;
+  const SimdKernelTable& kernels = SimdKernels();
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   for (size_t h = 0; h < num_heads; ++h) {
     const size_t off = h * head_dim;
     // Scores: s = q_h · K_hᵀ, then × scale; masked keys get -1e30.
-    gemm(q.data() + off, dim, 1, kt.row_data(off), n, scores.data(), n, m,
-         head_dim, n);
+    kernels.gemm_f32(q.data() + off, dim, 1, kt.row_data(off), n,
+                     scores.data(), n, m, head_dim, n);
     float* s = scores.data();
     for (size_t e = 0; e < m * n; ++e) s[e] *= scale;
     for (size_t j = 0; j < n; ++j) {
       if (mask[j]) continue;
       for (size_t i = 0; i < m; ++i) s[i * n + j] = -1e30f;
     }
-    for (size_t i = 0; i < m; ++i) softmax(scores.row_data(i), n);
+    for (size_t i = 0; i < m; ++i) kernels.softmax(scores.row_data(i), n);
     if (attn != nullptr) (*attn)[h] = scores;
     // Head output: attn · V_h, written into this head's columns of concat.
-    gemm(scores.data(), n, 1, v.data() + off, dim, concat.data() + off, dim,
-         m, n, head_dim);
+    kernels.gemm_f32(scores.data(), n, 1, v.data() + off, dim,
+                     concat.data() + off, dim, m, n, head_dim);
   }
 }
 
@@ -267,7 +235,7 @@ void MultiHeadSelfAttention::ForwardInference(const Tensor& x,
   }
 
   Tensor& concat = arena.Get(m, dim_);
-  AttentionCore(q, k, v, mask, num_heads_, ExpSoftmax, arena, concat,
+  AttentionCore(q, k, v, mask, num_heads_, arena, concat,
                 record ? &record->attn : nullptr);
   if (record != nullptr) record->concat = concat;
   out_proj_.ForwardInference(concat, out);

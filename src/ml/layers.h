@@ -115,7 +115,8 @@ class LayerNorm {
   Param beta_;   // 1×dim
 };
 
-// GELU activation (tanh approximation). Stateless.
+// GELU activation (tanh approximation), on the kernel table's gelu and
+// gelu_backward. Stateless.
 class Gelu {
  public:
   static void ForwardInference(const Tensor& x, Tensor& y);
@@ -131,20 +132,18 @@ struct AttentionRecord {
   Tensor concat;             // input of the output projection
 };
 
-// An in-place row softmax; masked scores (-1e30) must come out exactly 0.
-using RowSoftmax = void (*)(float* x, size_t n);
-
 // The scaled-dot-product core that the float and int8 encoders run after
 // their own q/k/v projections. q holds m query rows, k and v all n
 // positions, and mask[j] == false excludes key j. Per head, over its
-// dim/num_heads columns: scores q·kᵀ/√head_dim (−1e30 for masked keys),
-// `softmax` on each score row, then attn·V into that head's columns of the
-// m×dim `concat`. Both products run the kernel table's gemm_f32. The m×n
-// scores and a transposed copy of k come from `arena`; `attn`, when given,
-// receives each head's softmax weights.
+// dim/num_heads columns: scores q·kᵀ/√head_dim (−1e30 for masked keys), the
+// kernel table's softmax on each score row (masked keys get weight exactly
+// 0), then attn·V into that head's columns of the m×dim `concat`. Both
+// products run the kernel table's gemm_f32. The m×n scores and a transposed
+// copy of k come from `arena`; `attn`, when given, receives each head's
+// softmax weights.
 void AttentionCore(const Tensor& q, const Tensor& k, const Tensor& v,
                    const std::vector<bool>& mask, size_t num_heads,
-                   RowSoftmax softmax, InferenceArena& arena, Tensor& concat,
+                   InferenceArena& arena, Tensor& concat,
                    std::vector<Tensor>* attn = nullptr);
 
 // Multi-head scaled-dot-product self-attention with padding mask.

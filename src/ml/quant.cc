@@ -105,7 +105,7 @@ void QuantizedTransformerLayer::Forward(const Tensor& x,
   }
 
   Tensor& concat = arena.Get(m, dim);
-  AttentionCore(q, k, v, mask, num_heads, kernels.softmax, arena, concat);
+  AttentionCore(q, k, v, mask, num_heads, arena, concat);
 
   Tensor& attn_out = arena.Get(m, dim);
   QuantizedLinearForward(out_proj, concat, scratch, attn_out);

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #if !defined(LSHAP_NO_AVX2) && (defined(__x86_64__) || defined(__i386__))
 #define LSHAP_AVX2_COMPILED 1
@@ -24,6 +25,8 @@ constexpr float kLn2Lo = -2.12194440e-4f;       // ln 2 - kLn2Hi
 constexpr float kExpLoCut = -87.0f;             // below: exact zero
 constexpr float kExpHiCut = 88.0f;              // above: clamp
 constexpr float kGeluC = 0.7978845608028654f;   // sqrt(2/pi)
+constexpr float kGeluCubic = 0.044715f;
+constexpr float kGeluCubic3 = 3.0f * kGeluCubic;  // d/dv of the cubic term
 constexpr float kMaskedScore = -1e30f;
 
 // ------------------------------------------------------------ shared bits
@@ -76,19 +79,47 @@ float ExpScalar(float x) {
   return zero ? 0.0f : result;
 }
 
-float GeluOne(float v) {
+// GELU's tanh term through the shared exp: for u = √(2/π)·(v + 0.044715·v³)
+// and e = exp(2u), returns frac = 2/(e + 1) = 1 − tanh(u) and stores e.
+float GeluFrac(float v, float* e) {
   float v3 = v * v;
   v3 = v3 * v;
-  float inner = v3 * 0.044715f;
+  float inner = v3 * kGeluCubic;
   inner = v + inner;
   const float u = inner * kGeluC;
-  const float e = ExpScalar(u + u);
-  const float denom = e + 1.0f;
-  const float frac = 2.0f / denom;
+  *e = ExpScalar(u + u);
+  const float denom = *e + 1.0f;
+  return 2.0f / denom;
+}
+
+// 0.5·v·(1 + tanh(u)) with tanh(u) = 1 − frac.
+float GeluOne(float v) {
+  float e;
+  const float frac = GeluFrac(v, &e);
   const float th = 1.0f - frac;
   const float onep = 1.0f + th;
   const float half_v = 0.5f * v;
   return half_v * onep;
+}
+
+// GELU's derivative, 0.5·(1 + t) + 0.5·v·(1 − t)(1 + t)·√(2/π)·(1 +
+// 3·0.044715·v²) for t = tanh(u). It takes 1 − t = frac and 1 + t = e·frac
+// straight from GeluFrac rather than through t, so neither tail cancels:
+// 1 ± t would round to 0 wherever |t| is within an ulp of 1.
+float GeluGradOne(float v) {
+  float e;
+  const float frac = GeluFrac(v, &e);
+  const float onep = e * frac;
+  const float left = 0.5f * onep;
+  const float sech2 = frac * onep;
+  float du = v * v;
+  du = du * kGeluCubic3;
+  du = 1.0f + du;
+  du = du * kGeluC;
+  float right = 0.5f * v;
+  right = right * sech2;
+  right = right * du;
+  return left + right;
 }
 
 // ------------------------------------------------------------ scalar path
@@ -103,6 +134,11 @@ int32_t DotInt8Scalar(const int8_t* a, const int8_t* b, size_t n) {
 
 void GeluScalar(float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) x[i] = GeluOne(x[i]);
+}
+
+void GeluBackwardScalar(const float* x, const float* dy, float* dx,
+                        size_t n) {
+  for (size_t i = 0; i < n; ++i) dx[i] = dy[i] * GeluGradOne(x[i]);
 }
 
 void SoftmaxScalar(float* x, size_t n) {
@@ -160,6 +196,7 @@ void GemmF32Scalar(const float* a, size_t a_row, size_t a_col,
 constexpr SimdKernelTable kScalarTable = {
     DotInt8Scalar,
     GeluScalar,
+    GeluBackwardScalar,
     SoftmaxScalar,
     QuantizeRowScalar,
     GemmF32Scalar,
@@ -221,43 +258,103 @@ LSHAP_AVX2_FN __m256 ExpAvx2(__m256 x) {
   return _mm256_andnot_ps(zero_mask, result);
 }
 
-LSHAP_AVX2_FN void GeluAvx2(float* x, size_t n) {
-  const size_t n8 = n & ~static_cast<size_t>(7);
-  const __m256 c_half = _mm256_set1_ps(0.5f);
-  const __m256 c_one = _mm256_set1_ps(1.0f);
-  const __m256 c_two = _mm256_set1_ps(2.0f);
-  const __m256 c_cubic = _mm256_set1_ps(0.044715f);
-  const __m256 c_gelu = _mm256_set1_ps(kGeluC);
-  for (size_t i = 0; i < n8; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    __m256 v3 = _mm256_mul_ps(v, v);
-    v3 = _mm256_mul_ps(v3, v);
-    __m256 inner = _mm256_mul_ps(v3, c_cubic);
-    inner = _mm256_add_ps(v, inner);
-    const __m256 u = _mm256_mul_ps(inner, c_gelu);
-    const __m256 e = ExpAvx2(_mm256_add_ps(u, u));
-    const __m256 denom = _mm256_add_ps(e, c_one);
-    const __m256 frac = _mm256_div_ps(c_two, denom);
-    const __m256 th = _mm256_sub_ps(c_one, frac);
-    const __m256 onep = _mm256_add_ps(c_one, th);
-    const __m256 half_v = _mm256_mul_ps(c_half, v);
-    _mm256_storeu_ps(x + i, _mm256_mul_ps(half_v, onep));
-  }
-  for (size_t i = n8; i < n; ++i) x[i] = GeluOne(x[i]);
+// The first `count` (at most 8) lanes, for the masked loads and stores of a
+// row's last n mod 8 elements (simd.h says why tails stay vector code).
+LSHAP_AVX2_FN __m256i TailMask(size_t count) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
+// Vector twin of GeluFrac.
+LSHAP_AVX2_FN __m256 GeluFracAvx2(__m256 v, __m256* e) {
+  __m256 v3 = _mm256_mul_ps(v, v);
+  v3 = _mm256_mul_ps(v3, v);
+  __m256 inner = _mm256_mul_ps(v3, _mm256_set1_ps(kGeluCubic));
+  inner = _mm256_add_ps(v, inner);
+  const __m256 u = _mm256_mul_ps(inner, _mm256_set1_ps(kGeluC));
+  *e = ExpAvx2(_mm256_add_ps(u, u));
+  const __m256 denom = _mm256_add_ps(*e, _mm256_set1_ps(1.0f));
+  return _mm256_div_ps(_mm256_set1_ps(2.0f), denom);
+}
+
+// Vector twin of GeluOne.
+LSHAP_AVX2_FN __m256 GeluOneAvx2(__m256 v) {
+  const __m256 c_one = _mm256_set1_ps(1.0f);
+  __m256 e;
+  const __m256 frac = GeluFracAvx2(v, &e);
+  const __m256 th = _mm256_sub_ps(c_one, frac);
+  const __m256 onep = _mm256_add_ps(c_one, th);
+  const __m256 half_v = _mm256_mul_ps(_mm256_set1_ps(0.5f), v);
+  return _mm256_mul_ps(half_v, onep);
+}
+
+// Vector twin of GeluGradOne.
+LSHAP_AVX2_FN __m256 GeluGradAvx2(__m256 v) {
+  const __m256 c_half = _mm256_set1_ps(0.5f);
+  __m256 e;
+  const __m256 frac = GeluFracAvx2(v, &e);
+  const __m256 onep = _mm256_mul_ps(e, frac);
+  const __m256 left = _mm256_mul_ps(c_half, onep);
+  const __m256 sech2 = _mm256_mul_ps(frac, onep);
+  __m256 du = _mm256_mul_ps(v, v);
+  du = _mm256_mul_ps(du, _mm256_set1_ps(kGeluCubic3));
+  du = _mm256_add_ps(_mm256_set1_ps(1.0f), du);
+  du = _mm256_mul_ps(du, _mm256_set1_ps(kGeluC));
+  __m256 right = _mm256_mul_ps(c_half, v);
+  right = _mm256_mul_ps(right, sech2);
+  right = _mm256_mul_ps(right, du);
+  return _mm256_add_ps(left, right);
+}
+
+// The masked-off tail lanes read 0, which GELU maps to 0; they are never
+// stored.
+LSHAP_AVX2_FN void GeluAvx2(float* x, size_t n) {
+  const size_t n8 = n & ~static_cast<size_t>(7);
+  for (size_t i = 0; i < n8; i += 8) {
+    _mm256_storeu_ps(x + i, GeluOneAvx2(_mm256_loadu_ps(x + i)));
+  }
+  if (n8 < n) {
+    const __m256i mask = TailMask(n - n8);
+    _mm256_maskstore_ps(x + n8, mask,
+                        GeluOneAvx2(_mm256_maskload_ps(x + n8, mask)));
+  }
+}
+
+LSHAP_AVX2_FN void GeluBackwardAvx2(const float* x, const float* dy,
+                                    float* dx, size_t n) {
+  const size_t n8 = n & ~static_cast<size_t>(7);
+  for (size_t i = 0; i < n8; i += 8) {
+    const __m256 grad = GeluGradAvx2(_mm256_loadu_ps(x + i));
+    _mm256_storeu_ps(dx + i, _mm256_mul_ps(_mm256_loadu_ps(dy + i), grad));
+  }
+  if (n8 < n) {
+    const __m256i mask = TailMask(n - n8);
+    const __m256 grad = GeluGradAvx2(_mm256_maskload_ps(x + n8, mask));
+    _mm256_maskstore_ps(
+        dx + n8, mask,
+        _mm256_mul_ps(_mm256_maskload_ps(dy + n8, mask), grad));
+  }
+}
+
+// The tail runs as one vector padded with −∞: lane i & 7 meets x[i] in the
+// order the scalar entry's lanes do, a padded lane leaves the max alone and
+// its exp is exactly 0, so it adds +0 to its sum lane, which changes no
+// bit. (Padding with the mask value −1e30 would not do: in a fully masked
+// row the max is −1e30, and the padded lanes would get weight 1.)
 LSHAP_AVX2_FN void SoftmaxAvx2(float* x, size_t n) {
   const size_t n8 = n & ~static_cast<size_t>(7);
+  const __m256i tail_mask = TailMask(n - n8);
   alignas(32) float lanes[8];
 
   __m256 vmax = _mm256_set1_ps(kMaskedScore);
   for (size_t i = 0; i < n8; i += 8) {
     vmax = _mm256_max_ps(vmax, _mm256_loadu_ps(x + i));
   }
+  const __m256 tail = _mm256_blendv_ps(
+      _mm256_set1_ps(-std::numeric_limits<float>::infinity()),
+      _mm256_maskload_ps(x + n8, tail_mask), _mm256_castsi256_ps(tail_mask));
+  vmax = _mm256_max_ps(vmax, tail);
   _mm256_store_ps(lanes, vmax);
-  for (size_t i = n8; i < n; ++i) {
-    lanes[i & 7] = std::max(lanes[i & 7], x[i]);
-  }
   const float m = ReduceMaxLanes(lanes);
 
   const __m256 vm = _mm256_set1_ps(m);
@@ -267,11 +364,9 @@ LSHAP_AVX2_FN void SoftmaxAvx2(float* x, size_t n) {
     _mm256_storeu_ps(x + i, e);
     vsum = _mm256_add_ps(vsum, e);
   }
+  const __m256 tail_e = ExpAvx2(_mm256_sub_ps(tail, vm));
+  vsum = _mm256_add_ps(vsum, tail_e);
   _mm256_store_ps(lanes, vsum);
-  for (size_t i = n8; i < n; ++i) {
-    x[i] = ExpScalar(x[i] - m);
-    lanes[i & 7] += x[i];
-  }
   const float sum = ReduceSumLanes(lanes);
 
   const float inv = 1.0f / sum;
@@ -279,12 +374,28 @@ LSHAP_AVX2_FN void SoftmaxAvx2(float* x, size_t n) {
   for (size_t i = 0; i < n8; i += 8) {
     _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), vinv));
   }
-  for (size_t i = n8; i < n; ++i) x[i] *= inv;
+  _mm256_maskstore_ps(x + n8, tail_mask, _mm256_mul_ps(tail_e, vinv));
 }
 
+// Eight codes, rounded to nearest-even and clamped, packed into the low
+// eight bytes of the result.
+LSHAP_AVX2_FN __m128i QuantizeEightAvx2(__m256 x, __m256 vinv) {
+  __m256 q = _mm256_mul_ps(x, vinv);
+  q = _mm256_round_ps(q, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  q = _mm256_min_ps(q, _mm256_set1_ps(127.0f));
+  q = _mm256_max_ps(q, _mm256_set1_ps(-127.0f));
+  const __m256i qi = _mm256_cvtps_epi32(q);
+  const __m128i packed16 = _mm_packs_epi32(_mm256_castsi256_si128(qi),
+                                           _mm256_extracti128_si256(qi, 1));
+  return _mm_packs_epi16(packed16, _mm_setzero_si128());
+}
+
+// The tail's masked-off lanes read 0, which leaves the amax and its code
+// alone; only the live codes are written.
 LSHAP_AVX2_FN void QuantizeRowAvx2(const float* x, size_t n, int8_t* out,
                                    float* scale) {
   const size_t n8 = n & ~static_cast<size_t>(7);
+  const __m256i tail_mask = TailMask(n - n8);
   alignas(32) float lanes[8];
   const __m256 sign_mask = _mm256_set1_ps(-0.0f);
 
@@ -293,10 +404,9 @@ LSHAP_AVX2_FN void QuantizeRowAvx2(const float* x, size_t n, int8_t* out,
     vamax = _mm256_max_ps(vamax,
                           _mm256_andnot_ps(sign_mask, _mm256_loadu_ps(x + i)));
   }
+  const __m256 tail = _mm256_maskload_ps(x + n8, tail_mask);
+  vamax = _mm256_max_ps(vamax, _mm256_andnot_ps(sign_mask, tail));
   _mm256_store_ps(lanes, vamax);
-  for (size_t i = n8; i < n; ++i) {
-    lanes[i & 7] = std::max(lanes[i & 7], std::fabs(x[i]));
-  }
   const float amax = ReduceMaxLanes(lanes);
   if (amax == 0.0f) {
     *scale = 0.0f;
@@ -307,24 +417,15 @@ LSHAP_AVX2_FN void QuantizeRowAvx2(const float* x, size_t n, int8_t* out,
   *scale = amax / 127.0f;
 
   const __m256 vinv = _mm256_set1_ps(inv);
-  const __m256 vlo = _mm256_set1_ps(-127.0f);
-  const __m256 vhi = _mm256_set1_ps(127.0f);
   for (size_t i = 0; i < n8; i += 8) {
-    __m256 q = _mm256_mul_ps(_mm256_loadu_ps(x + i), vinv);
-    q = _mm256_round_ps(q, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    q = _mm256_min_ps(q, vhi);
-    q = _mm256_max_ps(q, vlo);
-    const __m256i qi = _mm256_cvtps_epi32(q);
-    const __m128i packed16 = _mm_packs_epi32(
-        _mm256_castsi256_si128(qi), _mm256_extracti128_si256(qi, 1));
-    const __m128i packed8 = _mm_packs_epi16(packed16, _mm_setzero_si128());
-    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i), packed8);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i),
+                     QuantizeEightAvx2(_mm256_loadu_ps(x + i), vinv));
   }
-  for (size_t i = n8; i < n; ++i) {
-    float q = std::nearbyint(x[i] * inv);
-    q = std::min(q, 127.0f);
-    q = std::max(q, -127.0f);
-    out[i] = static_cast<int8_t>(q);
+  if (n8 < n) {
+    int8_t codes[8];
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(codes),
+                     QuantizeEightAvx2(tail, vinv));
+    for (size_t i = n8; i < n; ++i) out[i] = codes[i - n8];
   }
 }
 
@@ -356,12 +457,26 @@ struct Lanes4 {
   }
 };
 
+// The last 1-3 columns: 4 lanes whose loads and stores are masked to the
+// columns that exist. A masked-off lane reads 0 and is never stored, so each
+// live lane still computes its own column.
+struct MaskedLanes4 : Lanes4 {
+  __m128i mask;
+  LSHAP_AVX2_FN V Load(const float* x) const {
+    return _mm_maskload_ps(x, mask);
+  }
+  LSHAP_AVX2_FN void Store(float* x, V v) const {
+    _mm_maskstore_ps(x, mask, v);
+  }
+};
+
 // One R-row × (NV·kWidth)-column tile of C, held in registers for the whole
 // p loop. MulAdd is a rounded multiply then a rounded add — never an FMA.
 template <class L, size_t R, size_t NV>
-LSHAP_AVX2_FN inline void GemmTile(const float* a, size_t a_row, size_t a_col,
-                                   const float* b, size_t ldb, float* c,
-                                   size_t ldc, size_t k) {
+LSHAP_AVX2_FN inline void GemmTile(const L& lanes, const float* a,
+                                   size_t a_row, size_t a_col, const float* b,
+                                   size_t ldb, float* c, size_t ldc,
+                                   size_t k) {
   typename L::V acc[R][NV];
   for (size_t r = 0; r < R; ++r) {
     for (size_t v = 0; v < NV; ++v) acc[r][v] = L::Zero();
@@ -369,7 +484,7 @@ LSHAP_AVX2_FN inline void GemmTile(const float* a, size_t a_row, size_t a_col,
   for (size_t p = 0; p < k; ++p) {
     typename L::V bv[NV];
     for (size_t v = 0; v < NV; ++v) {
-      bv[v] = L::Load(b + p * ldb + v * L::kWidth);
+      bv[v] = lanes.Load(b + p * ldb + v * L::kWidth);
     }
     for (size_t r = 0; r < R; ++r) {
       const typename L::V av = L::Splat(a + r * a_row + p * a_col);
@@ -380,13 +495,30 @@ LSHAP_AVX2_FN inline void GemmTile(const float* a, size_t a_row, size_t a_col,
   }
   for (size_t r = 0; r < R; ++r) {
     for (size_t v = 0; v < NV; ++v) {
-      L::Store(c + r * ldc + v * L::kWidth, acc[r][v]);
+      lanes.Store(c + r * ldc + v * L::kWidth, acc[r][v]);
     }
   }
 }
 
-// Covers columns [j, m) in tiles NV·kWidth wide while whole tiles fit,
-// four rows at a time; returns the first column left over.
+// One column tile over every row of C, four rows at a time.
+template <class L, size_t NV>
+LSHAP_AVX2_FN inline void GemmRows(const L& lanes, const float* a,
+                                   size_t a_row, size_t a_col, const float* b,
+                                   size_t ldb, float* c, size_t ldc, size_t n,
+                                   size_t k) {
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    GemmTile<L, 4, NV>(lanes, a + i * a_row, a_row, a_col, b, ldb,
+                       c + i * ldc, ldc, k);
+  }
+  for (; i < n; ++i) {
+    GemmTile<L, 1, NV>(lanes, a + i * a_row, a_row, a_col, b, ldb,
+                       c + i * ldc, ldc, k);
+  }
+}
+
+// Covers columns [j, m) in tiles NV·kWidth wide while whole tiles fit;
+// returns the first column left over.
 template <class L, size_t NV>
 LSHAP_AVX2_FN inline size_t GemmColumns(const float* a, size_t a_row,
                                         size_t a_col, const float* b,
@@ -395,15 +527,7 @@ LSHAP_AVX2_FN inline size_t GemmColumns(const float* a, size_t a_row,
                                         size_t j) {
   constexpr size_t kTile = NV * L::kWidth;
   for (; j + kTile <= m; j += kTile) {
-    size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      GemmTile<L, 4, NV>(a + i * a_row, a_row, a_col, b + j, ldb,
-                         c + i * ldc + j, ldc, k);
-    }
-    for (; i < n; ++i) {
-      GemmTile<L, 1, NV>(a + i * a_row, a_row, a_col, b + j, ldb,
-                         c + i * ldc + j, ldc, k);
-    }
+    GemmRows<L, NV>(L{}, a, a_row, a_col, b + j, ldb, c + j, ldc, n, k);
   }
   return j;
 }
@@ -418,13 +542,17 @@ LSHAP_AVX2_FN void GemmF32Avx2(const float* a, size_t a_row, size_t a_col,
   j = GemmColumns<Lanes8, 1>(a, a_row, a_col, b, ldb, c, ldc, n, k, m, j);
   j = GemmColumns<Lanes4, 1>(a, a_row, a_col, b, ldb, c, ldc, n, k, m, j);
   if (j < m) {
-    GemmF32Scalar(a, a_row, a_col, b + j, ldb, c + j, ldc, n, k, m - j);
+    MaskedLanes4 lanes;
+    lanes.mask = _mm256_castsi256_si128(TailMask(m - j));
+    GemmRows<MaskedLanes4, 1>(lanes, a, a_row, a_col, b + j, ldb, c + j, ldc,
+                              n, k);
   }
 }
 
 constexpr SimdKernelTable kAvx2Table = {
     DotInt8Avx2,
     GeluAvx2,
+    GeluBackwardAvx2,
     SoftmaxAvx2,
     QuantizeRowAvx2,
     GemmF32Avx2,

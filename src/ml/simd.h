@@ -25,6 +25,12 @@ namespace lshap {
 //    instruction, so no a*b+c is ever fused: a fused multiply-add rounds
 //    once and would move bits.
 //
+// The AVX2 entries run a row's last n mod 8 elements (the GEMM: its last
+// 1-3 columns) as one vector with masked loads and stores, padded with
+// values that move no bit, and never call the scalar code: that code is
+// built for baseline x86-64, so it is legacy SSE, which pays a state
+// transition when it runs while the upper YMM halves are dirty.
+//
 // quant_test's KernelBitEquality suite pins this property on random shapes,
 // which is what lets the AVX2-disabled CI leg certify the scalar fallback.
 
@@ -59,9 +65,14 @@ struct SimdKernelTable {
   // Σ a[i]·b[i] over n elements; n must be a multiple of kInt8BlockElems
   // (callers zero-pad). Exact in int32.
   int32_t (*dot_i8)(const int8_t* a, const int8_t* b, size_t n);
-  // In-place tanh-approximation GELU (matches the float path's formula to
-  // within the shared exp approximation).
+  // In-place tanh-approximation GELU, 0.5·x·(1 + tanh(u)) with
+  // u = √(2/π)·(x + 0.044715·x³) and tanh(u) = 1 − 2/(exp(2u) + 1) through
+  // the shared exp approximation.
   void (*gelu)(float* x, size_t n);
+  // GELU's backward: dx[i] = dy[i] · gelu'(x[i]). It runs `gelu`'s exact
+  // operations up to 2/(exp(2u) + 1) = 1 − tanh(u), and takes
+  // 1 + tanh(u) = exp(2u) · 2/(exp(2u) + 1) from them without cancelling.
+  void (*gelu_backward)(const float* x, const float* dy, float* dx, size_t n);
   // In-place numerically-stable softmax. Entries at or below the masking
   // threshold (-1e30f) contribute exactly zero.
   void (*softmax)(float* x, size_t n);

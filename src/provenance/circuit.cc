@@ -1,8 +1,7 @@
 #include "provenance/circuit.h"
 
 #include <algorithm>
-#include <mutex>
-#include <unordered_map>
+#include <deque>
 
 #include "common/check.h"
 
@@ -79,19 +78,21 @@ NodeId Circuit::AddOr(std::vector<NodeId> children) {
 }
 
 const CountVec& BinomialRow(size_t m) {
-  static std::mutex mu;
-  static std::unordered_map<size_t, CountVec>* rows =
-      new std::unordered_map<size_t, CountVec>();
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = rows->find(m);
-  if (it != rows->end()) return it->second;
-  CountVec row(m + 1);
-  row[0] = 1.0L;
-  for (size_t k = 1; k <= m; ++k) {
-    row[k] = row[k - 1] * static_cast<long double>(m - k + 1) /
-             static_cast<long double>(k);
+  // One cache per thread, indexed by m, so concurrent callers share no lock.
+  // A deque keeps its elements in place as it grows, so a row stays valid
+  // while its caller asks for a larger one.
+  thread_local std::deque<CountVec> rows;
+  if (m >= rows.size()) rows.resize(m + 1);
+  CountVec& row = rows[m];
+  if (row.empty()) {
+    row.resize(m + 1);
+    row[0] = 1.0L;
+    for (size_t k = 1; k <= m; ++k) {
+      row[k] = row[k - 1] * static_cast<long double>(m - k + 1) /
+               static_cast<long double>(k);
+    }
   }
-  return rows->emplace(m, std::move(row)).first->second;
+  return row;
 }
 
 CountVec ExtendCounts(const CountVec& c, size_t to) {

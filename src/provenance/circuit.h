@@ -102,7 +102,9 @@ class CountingSession {
   std::unordered_map<NodeId, CountVec> base_;
 };
 
-// Returns the binomial row [C(m,0), ..., C(m,m)] in long double.
+// Returns the binomial row [C(m,0), ..., C(m,m)] in long double. Rows are
+// cached per thread, without a lock; the reference stays valid for the
+// calling thread's lifetime, across calls for other rows.
 const CountVec& BinomialRow(size_t m);
 
 // Re-expresses counts over a variable set of size `from` as counts over a

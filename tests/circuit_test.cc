@@ -1,9 +1,15 @@
 // Direct tests of the counting-circuit machinery: node construction,
-// disjoint-OR counting, the CountingSession fast path, and the compiler's
-// component decomposition (including its ablation switch).
+// disjoint-OR counting, the CountingSession fast path, the compiler's
+// component decomposition (including its ablation switch), and the
+// per-thread binomial rows, which tools/check.sh also runs under TSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "provenance/bool_expr.h"
@@ -125,6 +131,70 @@ TEST(CompilerTest, CacheHitsOnRepeatedSubformulas) {
   auto circuit = compiler.CompileUnlimited(d);
   (void)circuit;
   EXPECT_GE(compiler.last_cache_hits(), 0u);  // smoke: stats exposed
+}
+
+// The bytes that hold a long double's value: x86's 80-bit format is padded
+// to 16 bytes, and the padding is not part of the number.
+constexpr size_t kLongDoubleBytes =
+    std::numeric_limits<long double>::digits == 64 ? 10 : sizeof(long double);
+
+bool SameBits(const CountVec& a, const CountVec& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], kLongDoubleBytes) != 0) return false;
+  }
+  return true;
+}
+
+// BinomialRow keeps one cache per thread. Four threads ask for rows in
+// different orders, and every row must carry the bits of the recurrence run
+// serially. A row held across a request for a much larger one must stay
+// where it was, with its bits.
+TEST(CircuitTest, BinomialRowIsTheSameOnEveryThread) {
+  constexpr size_t kMax = 150;
+  std::vector<CountVec> want(kMax + 1);
+  for (size_t m = 0; m <= kMax; ++m) {
+    want[m].assign(m + 1, 0.0L);
+    want[m][0] = 1.0L;
+    for (size_t k = 1; k <= m; ++k) {
+      want[m][k] = want[m][k - 1] * static_cast<long double>(m - k + 1) /
+                   static_cast<long double>(k);
+    }
+  }
+
+  constexpr size_t kThreads = 4;
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::vector<char> held_intact(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<size_t> order(kMax + 1);
+      for (size_t i = 0; i <= kMax; ++i) order[i] = i;
+      if (t == 1) std::reverse(order.begin(), order.end());
+      if (t == 2) {
+        for (size_t i = 0; i <= kMax; ++i) order[i] = i * 37 % (kMax + 1);
+      }
+      if (t == 3) {
+        Rng rng(77);
+        rng.Shuffle(order);
+      }
+      const CountVec& held = BinomialRow(order[0]);
+      for (size_t m : order) {
+        if (!SameBits(BinomialRow(m), want[m])) ++mismatches[t];
+      }
+      BinomialRow(8 * kMax);
+      held_intact[t] = &held == &BinomialRow(order[0]) &&
+                       SameBits(held, want[order[0]]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+    EXPECT_TRUE(held_intact[t]) << "thread " << t;
+  }
+  for (size_t m = 0; m <= kMax; ++m) {
+    EXPECT_TRUE(SameBits(BinomialRow(m), want[m])) << "m=" << m;
+  }
 }
 
 TEST(CircuitTest, BinomialRowLargeValuesFinite) {

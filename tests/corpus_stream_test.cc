@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "corpus/corpus.h"
+#include "corpus/format.h"
 #include "corpus/io.h"
 #include "corpus/stream.h"
 #include "datasets/imdb.h"
@@ -267,14 +268,11 @@ TEST_F(CorpusStreamTest, StreamTrainerOneShardRoundTripTrainsIdentically) {
   cfg.batch_size = 16;
   cfg.seed = 5;
 
-  // A serial pool makes gradient accumulation order (and so the whole
-  // training run) bit-for-bit reproducible, which the equality below needs.
-  ThreadPool serial(1);
-  TrainResult built = TrainLearnShapley(corpus_, sims, cfg, serial);
+  TrainResult built = TrainLearnShapley(corpus_, sims, cfg, pool_);
   // The loaded corpus holds the same content, but its lineage hash maps are
   // filled in a different order than the builder's.
   ShardedCorpusStream stream = OpenSharded(1);
-  auto loaded = TrainLearnShapleyStream(stream, &sims, cfg, serial);
+  auto loaded = TrainLearnShapleyStream(stream, &sims, cfg, pool_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   EXPECT_DOUBLE_EQ(loaded->pretrain_dev_mse, built.pretrain_dev_mse);
@@ -285,6 +283,45 @@ TEST_F(CorpusStreamTest, StreamTrainerOneShardRoundTripTrainsIdentically) {
   const EvalSummary b =
       EvaluateScorer(corpus_, corpus_.test_idx, *loaded->ranker, {}, pool_);
   EXPECT_DOUBLE_EQ(a.ndcg10, b.ndcg10);
+}
+
+// FNV-1a over the bytes of every trained weight.
+uint64_t WeightsFingerprint(LearnShapleyRanker& ranker) {
+  std::string bytes;
+  for (const Param* p : ranker.model().Params()) {
+    bytes.append(reinterpret_cast<const char*>(p->value.data()),
+                 sizeof(float) * p->value.size());
+  }
+  return FnvChecksum(bytes.data(), bytes.size());
+}
+
+// Training sums each batch in fixed lanes (sample i to lane i mod 8, lanes
+// added in lane order), so a run gives the same bits at any thread count.
+// The batch size 12 leaves lanes of unequal length. The pins fix the
+// trained weights themselves (this fixture's dev split always ranks
+// perfectly, so its NDCG is 1): a change that moves them must say so.
+TEST_F(CorpusStreamTest, TrainingIsIdenticalAtAnyThreadCount) {
+  const SimilarityMatrices sims =
+      ComputeSimilarityMatrices(corpus_, 16, pool_);
+  TrainConfig cfg;
+  cfg.model_size = TrainConfig::ModelSize::kSmallAblation;
+  cfg.pretrain_epochs = 1;
+  cfg.pretrain_pairs_per_epoch = 40;
+  cfg.finetune_epochs = 2;
+  cfg.finetune_samples_per_epoch = 60;
+  cfg.batch_size = 12;
+  cfg.seed = 5;
+
+  for (size_t threads : {1, 1, 2, 2, 4, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    ThreadPool pool(threads);
+    InMemoryCorpusStream stream(corpus_);
+    auto result = TrainLearnShapleyStream(stream, &sims, cfg, pool);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(WeightsFingerprint(*result->ranker), 0x1f75a4308eb8b950u);
+    EXPECT_EQ(result->pretrain_dev_mse, 0x1.adb8e9dbbcd3cp-2);
+    EXPECT_EQ(result->best_dev_ndcg10, 1.0);
+  }
 }
 
 // Pre-training and fine-tuning on the fixture's 4-thread pool: the dev-MSE

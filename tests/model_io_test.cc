@@ -145,11 +145,37 @@ TEST_F(ModelIoTest, SaveLoadPredictionsBitIdentical) {
     const auto a = trained.ranker->Score(corpus_, e, 0);
     const auto b = (*loaded)->Score(corpus_, e, 0);
     ASSERT_EQ(a.size(), b.size());
-    // Scores may differ by the (monotone) shapley_scale factor; the ranking
-    // must be identical and the underlying model outputs proportional.
+    // The ranking must be identical; SaveLoadKeepsScores checks the values.
     EXPECT_EQ(RankByScore(a), RankByScore(b));
     break;
   }
+}
+
+// The file stores the score scale, so a reloaded ranker returns the very
+// doubles of the ranker it was saved from (the default-trained scale is 10;
+// the loader used to assume 1000 and divide every score by 100).
+TEST_F(ModelIoTest, SaveLoadKeepsScores) {
+  TrainResult trained = QuickTrain();
+  ASSERT_EQ(trained.ranker->shapley_scale(), TrainConfig{}.shapley_scale);
+  ASSERT_TRUE(SaveRanker(*trained.ranker, path_).ok());
+  auto loaded = LoadRanker(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->shapley_scale(), trained.ranker->shapley_scale());
+
+  size_t scored = 0;
+  for (size_t e : corpus_.test_idx) {
+    for (size_t c = 0; c < corpus_.entries[e].contributions.size(); ++c) {
+      const ShapleyValues a = trained.ranker->Score(corpus_, e, c);
+      const ShapleyValues b = (*loaded)->Score(corpus_, e, c);
+      ASSERT_EQ(a.size(), b.size());
+      for (const auto& [fact, value] : a) {
+        ASSERT_EQ(b.count(fact), 1u);
+        EXPECT_EQ(b.at(fact), value) << "entry " << e << " fact " << fact;
+        ++scored;
+      }
+    }
+  }
+  EXPECT_GT(scored, 0u);
 }
 
 TEST_F(ModelIoTest, RawModelOutputsExactlyPreserved) {
@@ -250,6 +276,34 @@ TEST_F(ModelIoTest, LoadRejectsVersionTwoHeader) {
                   text.replace(0, text.find('\n'), "LSHAP_MODEL 2");
                 }),
                 "missing header");
+}
+
+// Version-3 files did not store the score scale.
+TEST_F(ModelIoTest, LoadRejectsVersionThreeHeader) {
+  ExpectInvalid(LoadEdited([](std::string& text) {
+                  text.replace(0, text.find('\n'), "LSHAP_MODEL 3");
+                }),
+                "missing header");
+}
+
+// Scores are divided by the scale, so it must be a finite positive number.
+TEST_F(ModelIoTest, LoadRejectsBadShapleyScale) {
+  for (const char* scale : {"0x0p+0", "-0x1.4p+3", "inf", "nan", "1e39"}) {
+    ExpectInvalid(LoadEdited([&](std::string& text) {
+                    SetKeyField(text, "ranker", 2, scale);
+                  }),
+                  "must be finite and positive");
+  }
+  ExpectInvalid(LoadEdited([](std::string& text) {
+                  SetKeyField(text, "ranker", 2, "ten");
+                }),
+                "malformed shapley scale value 'ten'");
+  ExpectInvalid(LoadEdited([](std::string& text) {
+                  const size_t begin = text.find("\nranker ") + 1;
+                  const size_t end = text.find('\n', begin);
+                  text.replace(begin, end - begin, "ranker 40");
+                }),
+                "truncated shapley scale");
 }
 
 // One hex digit of one weight, changed in place: every line still parses,

@@ -104,10 +104,35 @@ TEST_F(KernelBitEquality, Gelu) {
   }
 }
 
+// GELU's derivative over [-12, 12], where exp(2u) reaches its clamp, with
+// exact and signed zeros and ±1e-30 mixed in, at every tail length.
+TEST_F(KernelBitEquality, GeluBackward) {
+  auto [scalar, simd] = GetTables();
+  Rng rng(106);
+  std::vector<size_t> lengths = {64, 65, 100};
+  for (size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  for (const size_t n : lengths) {
+    std::vector<float> x = RandomRow(rng, n, 12.0f);
+    static constexpr float kSpecial[] = {0.0f, -0.0f, 1e-30f, -1e-30f,
+                                         12.0f, -12.0f};
+    for (size_t i = 0; i < n; i += 3) x[i] = kSpecial[(i / 3) % 6];
+    const std::vector<float> dy = RandomRow(rng, n, 2.0f);
+    std::vector<float> a(n, 7.5f), b(n, 7.5f);
+    scalar->gelu_backward(x.data(), dy.data(), a.data(), n);
+    simd->gelu_backward(x.data(), dy.data(), b.data(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(a[i], b[i]) << "n=" << n << " i=" << i << " x=" << x[i];
+      EXPECT_TRUE(std::isfinite(a[i])) << "n=" << n << " x=" << x[i];
+    }
+  }
+}
+
 TEST_F(KernelBitEquality, SoftmaxIncludingMaskedEntries) {
   auto [scalar, simd] = GetTables();
   Rng rng(103);
-  for (size_t n : {1u, 2u, 7u, 8u, 9u, 16u, 31u, 64u, 100u}) {
+  std::vector<size_t> lengths = {31, 64, 65, 100};
+  for (size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  for (const size_t n : lengths) {
     std::vector<float> x = RandomRow(rng, n, 8.0f);
     // Mask a third of the entries the way attention does; the kernels must
     // drive those to exactly zero in both variants.
@@ -122,6 +147,18 @@ TEST_F(KernelBitEquality, SoftmaxIncludingMaskedEntries) {
       if (i % 3 == 1 && n > 1) {
         EXPECT_EQ(a[i], 0.0f);
       }
+    }
+  }
+  // A fully masked row (a [CLS]-only input with its key masked) spreads its
+  // weight evenly: the max is the mask value itself, so every entry's exp
+  // is exp(0) = 1, and the sum of ones is exact.
+  for (const size_t n : {1u, 7u, 9u, 65u}) {
+    std::vector<float> a(n, -1e30f), b(n, -1e30f);
+    scalar->softmax(a.data(), n);
+    simd->softmax(b.data(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(a[i], b[i]) << "n=" << n << " i=" << i;
+      EXPECT_EQ(a[i], 1.0f / static_cast<float>(n)) << "n=" << n;
     }
   }
 }

@@ -18,7 +18,9 @@
 #       — the ranking service: concurrent Submit/Rank with snapshot swaps
 #       under load (serving_test) — and
 #       the shared const ranker scored from many threads in both float
-#       and int8 inference modes (quant_test).
+#       and int8 inference modes (quant_test) — and the per-thread
+#       binomial rows of exact Shapley counting, requested from four
+#       threads at once (circuit_test).
 #   serve — plain build, then a short closed-loop bench_serve smoke run
 #       (warm / overload / chaos phases). Exits non-zero if any phase
 #       violates the zero-silent-drops accounting invariant.
@@ -41,8 +43,9 @@ case "$MODE" in
     CMAKE_MODE=thread
     # ^metrics_test$ and ^budget_test$ are anchored: bare names would also
     # match ranking_metrics_test (single-threaded and slow under TSan) and
-    # corpus_budget_test, which is listed on its own.
-    TEST_ARGS=(-R 'eval_property_test|null_semantics_test|^budget_test$|^corpus_budget_test$|common_test|^metrics_test$|corpus_stream_test|serving_test|quant_test')
+    # corpus_budget_test, which is listed on its own. ^circuit_test$ is
+    # anchored like them.
+    TEST_ARGS=(-R 'eval_property_test|null_semantics_test|^budget_test$|^corpus_budget_test$|common_test|^metrics_test$|corpus_stream_test|serving_test|quant_test|^circuit_test$')
     ;;
   serve)
     BUILD_DIR="${BUILD_DIR:-build}"
