@@ -162,13 +162,9 @@ float QuantizedShapleyModel::PredictShapley(const EncodedPair& input,
       scratch.arena.Get(input.ids.size(), encoder_.config().dim);
   encoder_.Forward(input.ids, input.mask, scratch, hidden, 1);
   // [CLS] row → quantize → Shapley head.
-  int8_t* qx = scratch.Row(head_shapley_.in_pad());
-  float act_scale = 0.0f;
-  SimdKernels().quantize_row(hidden.row_data(0), hidden.cols(), qx,
-                             &act_scale);
-  float pred = 0.0f;
-  head_shapley_.Forward(qx, act_scale, &pred);
-  return pred;
+  Tensor& pred = scratch.arena.Get(1, 1);
+  QuantizedLinearForward(head_shapley_, hidden, scratch, pred);
+  return pred.at(0, 0);
 }
 
 }  // namespace lshap

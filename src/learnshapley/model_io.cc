@@ -98,6 +98,11 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
                                                          sizeof(kHeader)));
 
   std::string line;
+  // True when a line's stream holds nothing past the fields already read.
+  auto at_end = [](std::istream& ls) {
+    std::string extra;
+    return !(ls >> extra);
+  };
   // Reads n whitespace-separated floats (lossless hex) into `out`. Each
   // token must parse whole: "zz" is malformed, not 0.
   auto read_floats = [&](std::istream& ls, float* out, size_t n,
@@ -127,6 +132,7 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
     ls >> word >> cfg.vocab_size >> cfg.max_len >> cfg.dim >> cfg.num_heads >>
         cfg.num_layers >> cfg.ffn_dim >> cfg.seed;
     if (word != "config" || !ls) return bad("malformed config");
+    if (!at_end(ls)) return bad("trailing fields on the config line");
   }
   size_t ranker_max_len = 0;
   float shapley_scale = 0.0f;
@@ -138,6 +144,7 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
     if (word != "ranker" || !ls) return bad("malformed ranker line");
     Status st = read_floats(ls, &shapley_scale, 1, "shapley scale");
     if (!st.ok()) return st;
+    if (!at_end(ls)) return bad("trailing fields on the ranker line");
     // Scores are divided by the scale.
     if (!std::isfinite(shapley_scale) || shapley_scale <= 0.0f) {
       return bad(StrFormat("shapley scale %g must be finite and positive",
@@ -167,6 +174,7 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
     size_t count = 0;
     ls >> word >> count;
     if (word != "vocab" || !ls) return bad("malformed vocab line");
+    if (!at_end(ls)) return bad("trailing fields on the vocab line");
     for (size_t i = 0; i < count; ++i) {
       if (!std::getline(in, line)) return bad("truncated vocab");
       vocab->AddTokens({line});
@@ -197,6 +205,7 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
     if (word != "tensors" || count != params.size()) {
       return bad("tensor count mismatch");
     }
+    if (!at_end(ls)) return bad("trailing fields on the tensors line");
   }
   for (Param* p : params) {
     if (!std::getline(in, line)) return bad("truncated tensors");
@@ -210,6 +219,7 @@ Result<std::unique_ptr<LearnShapleyRanker>> LoadRanker(
     Status st = read_floats(ls, p->value.data(), p->value.size(),
                             "tensor data");
     if (!st.ok()) return st;
+    if (!at_end(ls)) return bad("trailing fields on a tensor line");
   }
 
   RankerConfig config;

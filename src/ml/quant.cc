@@ -7,14 +7,6 @@
 
 namespace lshap {
 
-namespace {
-
-size_t PadToBlock(size_t n) {
-  return (n + kInt8BlockElems - 1) / kInt8BlockElems * kInt8BlockElems;
-}
-
-}  // namespace
-
 // ------------------------------------------------------- QuantizedLinear
 
 QuantizedLinear QuantizedLinear::FromFloat(const Tensor& w, const Tensor& b) {
@@ -23,10 +15,9 @@ QuantizedLinear QuantizedLinear::FromFloat(const Tensor& w, const Tensor& b) {
   QuantizedLinear q;
   q.in_ = w.rows();
   q.out_ = w.cols();
-  q.in_pad_ = PadToBlock(q.in_);
   q.scales_.resize(q.out_);
   q.bias_.assign(b.row_data(0), b.row_data(0) + q.out_);
-  q.weights_.assign(q.out_ * q.in_pad_, 0);
+  q.packed_.assign(GemmI8PackedSize(q.in_, q.out_), 0);
   for (size_t j = 0; j < q.out_; ++j) {
     float amax = 0.0f;
     for (size_t i = 0; i < q.in_; ++i) {
@@ -34,43 +25,56 @@ QuantizedLinear QuantizedLinear::FromFloat(const Tensor& w, const Tensor& b) {
     }
     if (amax == 0.0f) {
       q.scales_[j] = 0.0f;
-      continue;  // channel row stays all-zero
+      continue;  // channel stays all-zero
     }
     const float scale = amax / 127.0f;
     const float inv = 127.0f / amax;
     q.scales_[j] = scale;
-    int8_t* row = q.weights_.data() + j * q.in_pad_;
     for (size_t i = 0; i < q.in_; ++i) {
       float code = std::nearbyint(w.at(i, j) * inv);
       code = std::min(code, 127.0f);
       code = std::max(code, -127.0f);
-      row[i] = static_cast<int8_t>(code);
+      q.packed_[GemmI8PackedIndex(i, j, q.in_)] = static_cast<int16_t>(code);
     }
   }
   return q;
 }
 
-void QuantizedLinear::Forward(const int8_t* qx, float act_scale,
-                              float* y) const {
+void QuantizedLinear::Forward(size_t rows, QuantScratch& scratch,
+                              Tensor& y) const {
+  LSHAP_CHECK_EQ(scratch.codes.size(), scratch.act_scales.size() * in_);
+  LSHAP_CHECK_LE(rows, scratch.act_scales.size());
+  scratch.sums.resize(rows * out_);
+  SimdKernels().gemm_i8(scratch.codes.data(), in_, packed_.data(),
+                        scratch.sums.data(), out_, rows, in_, out_);
+  y.Resize(rows, out_);
+  for (size_t r = 0; r < rows; ++r) {
+    const int32_t* acc = scratch.sums.data() + r * out_;
+    const float act_scale = scratch.act_scales[r];
+    float* yr = y.row_data(r);
+    for (size_t j = 0; j < out_; ++j) {
+      yr[j] = static_cast<float>(acc[j]) * (act_scale * scales_[j]) +
+              bias_[j];
+    }
+  }
+}
+
+void QuantizeRows(const Tensor& x, QuantScratch& scratch) {
+  const size_t rows = x.rows();
+  const size_t cols = x.cols();
+  scratch.codes.resize(rows * cols);
+  scratch.act_scales.resize(rows);
   const auto& kernels = SimdKernels();
-  const int8_t* row = weights_.data();
-  for (size_t j = 0; j < out_; ++j, row += in_pad_) {
-    const int32_t acc = kernels.dot_i8(qx, row, in_pad_);
-    y[j] = static_cast<float>(acc) * (act_scale * scales_[j]) + bias_[j];
+  for (size_t r = 0; r < rows; ++r) {
+    kernels.quantize_row(x.row_data(r), cols, scratch.codes.data() + r * cols,
+                         &scratch.act_scales[r]);
   }
 }
 
 void QuantizedLinearForward(const QuantizedLinear& lin, const Tensor& x,
                             QuantScratch& scratch, Tensor& y) {
-  LSHAP_CHECK_EQ(x.cols(), lin.in());
-  y.Resize(x.rows(), lin.out());
-  const auto& kernels = SimdKernels();
-  int8_t* qx = scratch.Row(lin.in_pad());
-  for (size_t r = 0; r < x.rows(); ++r) {
-    float act_scale = 0.0f;
-    kernels.quantize_row(x.row_data(r), x.cols(), qx, &act_scale);
-    lin.Forward(qx, act_scale, y.row_data(r));
-  }
+  QuantizeRows(x, scratch);
+  lin.Forward(x.rows(), scratch, y);
 }
 
 // ----------------------------------------------- QuantizedTransformerLayer
@@ -88,21 +92,15 @@ void QuantizedTransformerLayer::Forward(const Tensor& x,
   Tensor& ln1_out = arena.Get(n, dim);
   ln1.ForwardInference(x, ln1_out);
 
-  // One row quantization feeds all three projections; keys and values
-  // cover every position, queries only the rows read.
+  // One quantization of LN1's rows feeds all three projections; keys and
+  // values cover every position, queries only the rows read.
   Tensor& q = arena.Get(m, dim);
   Tensor& k = arena.Get(n, dim);
   Tensor& v = arena.Get(n, dim);
-  {
-    int8_t* qx = scratch.Row(q_proj.in_pad());
-    for (size_t r = 0; r < n; ++r) {
-      float act_scale = 0.0f;
-      kernels.quantize_row(ln1_out.row_data(r), dim, qx, &act_scale);
-      if (r < m) q_proj.Forward(qx, act_scale, q.row_data(r));
-      k_proj.Forward(qx, act_scale, k.row_data(r));
-      v_proj.Forward(qx, act_scale, v.row_data(r));
-    }
-  }
+  QuantizeRows(ln1_out, scratch);
+  q_proj.Forward(m, scratch, q);
+  k_proj.Forward(n, scratch, k);
+  v_proj.Forward(n, scratch, v);
 
   Tensor& concat = arena.Get(m, dim);
   AttentionCore(q, k, v, mask, num_heads, arena, concat);

@@ -12,18 +12,33 @@ namespace lshap {
 // Int8 quantized inference for the MiniBERT encoder (DESIGN.md §12).
 //
 // Scheme: per-output-channel symmetric weight quantization (scale_j =
-// max_i |W[i][j]| / 127), weights repacked transposed into a blocked
-// [out][in_pad] row-major layout (in_pad rounded up to kInt8BlockElems so
-// every channel row is one run of whole 256-bit vectors), dynamic per-row
-// symmetric activation quantization with clamping to ±127, int32
-// accumulation, float epilogue y_j = acc_j·(act_scale·scale_j) + bias_j.
-// Embeddings, LayerNorms, residual adds, and attention score/value products
-// stay float; softmax and GELU go through the SIMD kernel table.
+// max_i |W[i][j]| / 127), weights packed once into gemm_i8's int16 blocks
+// (simd.h), dynamic per-row symmetric activation quantization with clamping
+// to ±127, int32 sums from one gemm_i8 call per layer, float epilogue
+// y_ij = float(acc_ij)·(act_scale_i·scale_j) + bias_j. Embeddings,
+// LayerNorms, residual adds, and attention score/value products stay float;
+// softmax and GELU go through the SIMD kernel table.
 //
 // Everything here is immutable after construction and safe to share across
 // threads; per-call scratch lives in the caller's QuantScratch.
 
-// One repacked int8 affine layer.
+// Per-thread scratch for quantized forwards: a float-tensor arena, the
+// codes and per-row scales of the last rows quantized, and the int32 sums
+// of the last layer run. All of it is reused across calls.
+struct QuantScratch {
+  InferenceArena arena;
+  std::vector<int8_t> codes;      // rows × cols, row-major
+  std::vector<float> act_scales;  // one per row
+  std::vector<int32_t> sums;      // rows × out
+
+  void Reset() { arena.Reset(); }
+};
+
+// Quantizes every row of `x` into scratch.codes and scratch.act_scales,
+// for any number of QuantizedLinear::Forward calls.
+void QuantizeRows(const Tensor& x, QuantScratch& scratch);
+
+// One int8 affine layer.
 class QuantizedLinear {
  public:
   QuantizedLinear() = default;
@@ -31,41 +46,31 @@ class QuantizedLinear {
   // Quantizes a float Linear given its in×out weight and 1×out bias.
   static QuantizedLinear FromFloat(const Tensor& w, const Tensor& b);
 
-  // y[j] = dot_i8(qx, row_j)·(act_scale·scale_j) + bias_j for all out
-  // channels. qx must hold in_pad() codes (zero-padded tail).
-  void Forward(const int8_t* qx, float act_scale, float* y) const;
+  // Runs the first `rows` rows quantized in `scratch` (QuantizeRows, with
+  // in() columns) through the layer: one gemm_i8 call, then the float
+  // epilogue into the rows×out() tensor `y`.
+  void Forward(size_t rows, QuantScratch& scratch, Tensor& y) const;
 
   size_t in() const { return in_; }
   size_t out() const { return out_; }
-  size_t in_pad() const { return in_pad_; }
   const std::vector<float>& scales() const { return scales_; }
-  const std::vector<int8_t>& weights() const { return weights_; }
+  // The packed code of input i, channel j, for i < GemmI8PadK(in()) and
+  // j < GemmI8PadM(out()): w[i][j]'s code inside the layer, 0 in the
+  // padding.
+  int8_t code(size_t i, size_t j) const {
+    return static_cast<int8_t>(packed_[GemmI8PackedIndex(i, j, in_)]);
+  }
 
  private:
   size_t in_ = 0;
   size_t out_ = 0;
-  size_t in_pad_ = 0;           // in_ rounded up to kInt8BlockElems
-  std::vector<float> scales_;   // out_
-  std::vector<float> bias_;     // out_
-  std::vector<int8_t> weights_; // out_ × in_pad_, channel-major
-};
-
-// Per-thread scratch for quantized forwards: a float-tensor arena plus a
-// reusable padded int8 row buffer.
-struct QuantScratch {
-  InferenceArena arena;
-  std::vector<int8_t> qrow;
-
-  // Returns a zeroed row buffer of at least `in_pad` codes.
-  int8_t* Row(size_t in_pad) {
-    qrow.assign(in_pad, 0);
-    return qrow.data();
-  }
-  void Reset() { arena.Reset(); }
+  std::vector<float> scales_;    // out_
+  std::vector<float> bias_;      // out_
+  std::vector<int16_t> packed_;  // GemmI8PackedSize(in_, out_)
 };
 
 // Quantizes every row of `x` and runs it through `lin`, writing an
-// x.rows()×lin.out() result into `y`. The workhorse of the layer below.
+// x.rows()×lin.out() result into `y`.
 void QuantizedLinearForward(const QuantizedLinear& lin, const Tensor& x,
                             QuantScratch& scratch, Tensor& y);
 

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #if !defined(LSHAP_NO_AVX2) && (defined(__x86_64__) || defined(__i386__))
@@ -124,12 +125,57 @@ float GeluGradOne(float v) {
 
 // ------------------------------------------------------------ scalar path
 
-int32_t DotInt8Scalar(const int8_t* a, const int8_t* b, size_t n) {
-  int32_t acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
+// Codes of one row (AVX2: of a row block), widened to int16, are staged
+// this many at a time; a longer k runs in chunks whose sums add up in C.
+constexpr size_t kGemmI8Chunk = 512;
+
+// The scalar twin lays each row's codes out in the packed weights' own
+// pattern (a pair's two codes repeated for its 8 channels), so every block
+// is one contiguous run of int16 products over 16 int32 lanes, which the
+// compiler vectorizes; lane pairs (2c, 2c + 1) then sum to channel c. Two
+// pairs' products are added in int16 first: with |codes| ≤ 127,
+// |a·w + a'·w'| ≤ 2·127² < 2¹⁵, so that sum is exact.
+void GemmI8Scalar(const int8_t* a, size_t lda, const int16_t* w, int32_t* c,
+                  size_t ldc, size_t n, size_t k, size_t m) {
+  const size_t block_stride = 8 * GemmI8PadK(k);
+  int16_t pattern[8 * kGemmI8Chunk];
+  for (size_t p0 = 0; p0 < k; p0 += kGemmI8Chunk) {
+    const size_t kc = std::min(kGemmI8Chunk, k - p0);
+    const size_t len = 8 * GemmI8PadK(kc);
+    for (size_t i = 0; i < n; ++i) {
+      const int8_t* row = a + i * lda + p0;
+      for (size_t p = 0; p < kc; p += 2) {
+        const int16_t a0 = row[p];
+        const int16_t a1 = p + 1 < kc ? row[p + 1] : 0;
+        for (size_t t = 0; t < 16; t += 2) {
+          pattern[8 * p + t] = a0;
+          pattern[8 * p + t + 1] = a1;
+        }
+      }
+      for (size_t j = 0; j < m; j += 8) {
+        const int16_t* wb = w + j / 8 * block_stride + 8 * p0;
+        int32_t lanes[16] = {};
+        size_t u = 0;
+        for (; u + 32 <= len; u += 32) {
+          for (size_t t = 0; t < 16; ++t) {
+            lanes[t] += static_cast<int16_t>(pattern[u + t] * wb[u + t] +
+                                             pattern[u + 16 + t] *
+                                                 wb[u + 16 + t]);
+          }
+        }
+        if (u < len) {
+          for (size_t t = 0; t < 16; ++t) {
+            lanes[t] += static_cast<int16_t>(pattern[u + t] * wb[u + t]);
+          }
+        }
+        int32_t* out = c + i * ldc + j;
+        for (size_t ch = 0; ch < std::min<size_t>(8, m - j); ++ch) {
+          const int32_t sum = lanes[2 * ch] + lanes[2 * ch + 1];
+          out[ch] = p0 == 0 ? sum : out[ch] + sum;
+        }
+      }
+    }
   }
-  return acc;
 }
 
 void GeluScalar(float* x, size_t n) {
@@ -194,7 +240,7 @@ void GemmF32Scalar(const float* a, size_t a_row, size_t a_col,
 }
 
 constexpr SimdKernelTable kScalarTable = {
-    DotInt8Scalar,
+    GemmI8Scalar,
     GeluScalar,
     GeluBackwardScalar,
     SoftmaxScalar,
@@ -207,29 +253,6 @@ constexpr SimdKernelTable kScalarTable = {
 #ifdef LSHAP_AVX2_COMPILED
 
 #define LSHAP_AVX2_FN __attribute__((target("avx2")))
-
-LSHAP_AVX2_FN int32_t DotInt8Avx2(const int8_t* a, const int8_t* b,
-                                  size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  for (size_t i = 0; i < n; i += 32) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i a_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(va));
-    const __m256i a_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(va, 1));
-    const __m256i b_lo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(vb));
-    const __m256i b_hi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(vb, 1));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_lo, b_lo));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a_hi, b_hi));
-  }
-  const __m128i lo = _mm256_castsi256_si128(acc);
-  const __m128i hi = _mm256_extracti128_si256(acc, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
-}
 
 // Vector twin of ExpScalar: the same IEEE operation sequence per element
 // (min/max, mul, floor, two-step Cody-Waite, Horner with separate mul/add —
@@ -549,8 +572,131 @@ LSHAP_AVX2_FN void GemmF32Avx2(const float* a, size_t a_row, size_t a_col,
   }
 }
 
+// ---- int8 GEMM
+
+// The int32 sums of one 8-channel block: plain stores, or the last m mod 8
+// channels through a mask. Loads read back a chunk's partial sums.
+struct I8Lanes {
+  LSHAP_AVX2_FN static __m256i Load(const int32_t* c) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c));
+  }
+  LSHAP_AVX2_FN static void Store(int32_t* c, __m256i v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(c), v);
+  }
+};
+
+struct MaskedI8Lanes {
+  __m256i mask;
+  LSHAP_AVX2_FN __m256i Load(const int32_t* c) const {
+    return _mm256_maskload_epi32(c, mask);
+  }
+  LSHAP_AVX2_FN void Store(int32_t* c, __m256i v) const {
+    _mm256_maskstore_epi32(c, mask, v);
+  }
+};
+
+// One R-row × (NV·8)-channel tile of C over `pairs` input pairs, held in
+// registers. Each step broadcasts one row's pair of int16 codes to every
+// lane and multiply-adds it against one packed pair vector per block.
+template <class L, size_t R, size_t NV>
+LSHAP_AVX2_FN inline void GemmI8Tile(const L& lanes, const int16_t* a,
+                                     const int16_t* w, size_t block_stride,
+                                     int32_t* c, size_t ldc, size_t pairs,
+                                     bool accumulate) {
+  __m256i acc[R][NV];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < NV; ++v) {
+      acc[r][v] = accumulate ? lanes.Load(c + r * ldc + v * 8)
+                             : _mm256_setzero_si256();
+    }
+  }
+  for (size_t q = 0; q < pairs; ++q) {
+    __m256i wv[NV];
+    for (size_t v = 0; v < NV; ++v) {
+      wv[v] = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(w + v * block_stride + q * 16));
+    }
+    for (size_t r = 0; r < R; ++r) {
+      int32_t pair = 0;
+      std::memcpy(&pair, a + r * kGemmI8Chunk + 2 * q, sizeof(pair));
+      const __m256i av = _mm256_set1_epi32(pair);
+      for (size_t v = 0; v < NV; ++v) {
+        acc[r][v] =
+            _mm256_add_epi32(acc[r][v], _mm256_madd_epi16(av, wv[v]));
+      }
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < NV; ++v) {
+      lanes.Store(c + r * ldc + v * 8, acc[r][v]);
+    }
+  }
+}
+
+// R rows of C for inputs [p0, p0 + kc): widens their codes once, then runs
+// every channel tile, 16 channels while they fit, then 8, then the masked
+// rest.
+template <size_t R>
+LSHAP_AVX2_FN inline void GemmI8Rows(const int8_t* a, size_t lda,
+                                     const int16_t* w, size_t block_stride,
+                                     int32_t* c, size_t ldc, size_t p0,
+                                     size_t kc, size_t m) {
+  alignas(32) int16_t wide[R * kGemmI8Chunk];
+  for (size_t r = 0; r < R; ++r) {
+    const int8_t* src = a + r * lda + p0;
+    int16_t* dst = wide + r * kGemmI8Chunk;
+    size_t p = 0;
+    for (; p + 16 <= kc; p += 16) {
+      _mm256_store_si256(
+          reinterpret_cast<__m256i*>(dst + p),
+          _mm256_cvtepi8_epi16(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + p))));
+    }
+    for (; p < kc; ++p) dst[p] = src[p];
+    // An odd k's last pair meets a zero weight; its second code is 0 too.
+    if (kc % 2 == 1) dst[kc] = 0;
+  }
+  const size_t pairs = (kc + 1) / 2;
+  const bool accumulate = p0 > 0;
+  w += 8 * p0;  // the chunk's first pair in every block
+  size_t j = 0;
+  for (; j + 16 <= m; j += 16) {
+    GemmI8Tile<I8Lanes, R, 2>(I8Lanes{}, wide, w + j / 8 * block_stride,
+                              block_stride, c + j, ldc, pairs, accumulate);
+  }
+  for (; j + 8 <= m; j += 8) {
+    GemmI8Tile<I8Lanes, R, 1>(I8Lanes{}, wide, w + j / 8 * block_stride,
+                              block_stride, c + j, ldc, pairs, accumulate);
+  }
+  if (j < m) {
+    const MaskedI8Lanes lanes{TailMask(m - j)};
+    GemmI8Tile<MaskedI8Lanes, R, 1>(lanes, wide, w + j / 8 * block_stride,
+                                    block_stride, c + j, ldc, pairs,
+                                    accumulate);
+  }
+}
+
+// Four rows at a time, then one; each row block walks k in chunks.
+LSHAP_AVX2_FN void GemmI8Avx2(const int8_t* a, size_t lda, const int16_t* w,
+                              int32_t* c, size_t ldc, size_t n, size_t k,
+                              size_t m) {
+  const size_t block_stride = 8 * GemmI8PadK(k);
+  for (size_t p0 = 0; p0 < k; p0 += kGemmI8Chunk) {
+    const size_t kc = std::min(kGemmI8Chunk, k - p0);
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      GemmI8Rows<4>(a + i * lda, lda, w, block_stride, c + i * ldc, ldc, p0,
+                    kc, m);
+    }
+    for (; i < n; ++i) {
+      GemmI8Rows<1>(a + i * lda, lda, w, block_stride, c + i * ldc, ldc, p0,
+                    kc, m);
+    }
+  }
+}
+
 constexpr SimdKernelTable kAvx2Table = {
-    DotInt8Avx2,
+    GemmI8Avx2,
     GeluAvx2,
     GeluBackwardAvx2,
     SoftmaxAvx2,

@@ -12,7 +12,7 @@ namespace lshap {
 // a single dispatch point (the kernel table returned by SimdKernels()). The
 // two are bit-equal by construction:
 //
-//  - integer kernels (DotInt8) accumulate in int32, where order is exact;
+//  - the int8 GEMM accumulates in int32, where order is exact;
 //  - the float GEMM gives each vector lane one output element, so every lane
 //    runs the scalar loop's exact sequence: start from +0.0f, then one
 //    rounded multiply and one rounded add per term in ascending p;
@@ -25,18 +25,31 @@ namespace lshap {
 //    instruction, so no a*b+c is ever fused: a fused multiply-add rounds
 //    once and would move bits.
 //
-// The AVX2 entries run a row's last n mod 8 elements (the GEMM: its last
-// 1-3 columns) as one vector with masked loads and stores, padded with
-// values that move no bit, and never call the scalar code: that code is
+// The AVX2 entries run a row's last n mod 8 elements (the float GEMM: its
+// last 1-3 columns; the int8 GEMM: its last m mod 8 channels) as one vector
+// with masked loads and stores, padded with values that move no bit, and
+// never call the scalar code: that code is
 // built for baseline x86-64, so it is legacy SSE, which pays a state
 // transition when it runs while the upper YMM halves are dirty.
 //
 // quant_test's KernelBitEquality suite pins this property on random shapes,
 // which is what lets the AVX2-disabled CI leg certify the scalar fallback.
 
-// Int8 kernels require operand lengths padded to this many elements (one
-// 256-bit vector of int8).
-inline constexpr size_t kInt8BlockElems = 32;
+// gemm_i8's weight layout. A k×m int8 weight matrix is packed once into
+// blocks of 8 output channels; block b holds channels [8b, 8b + 8) for every
+// pair of inputs (2q, 2q + 1) as 16 int16 values, channel-major within the
+// pair: w[2q][8b], w[2q+1][8b], w[2q][8b+1], w[2q+1][8b+1], ... One pair of
+// one block is one 256-bit vector, ready for a pairwise multiply-add. k pads
+// to even and m to a multiple of 8, with zero weights.
+inline constexpr size_t GemmI8PadK(size_t k) { return (k + 1) & ~size_t{1}; }
+inline constexpr size_t GemmI8PadM(size_t m) { return (m + 7) & ~size_t{7}; }
+inline constexpr size_t GemmI8PackedSize(size_t k, size_t m) {
+  return GemmI8PadK(k) * GemmI8PadM(m);
+}
+// Index of w[p][j] in the packed array of a k-input layer.
+inline constexpr size_t GemmI8PackedIndex(size_t p, size_t j, size_t k) {
+  return j / 8 * 8 * GemmI8PadK(k) + p / 2 * 16 + j % 8 * 2 + p % 2;
+}
 
 enum class SimdLevel {
   kScalar = 0,
@@ -62,9 +75,18 @@ SimdLevel SetSimdLevel(SimdLevel level);
 // The dispatch table. One indirect call per kernel invocation; resolved
 // from ActiveSimdLevel().
 struct SimdKernelTable {
-  // Σ a[i]·b[i] over n elements; n must be a multiple of kInt8BlockElems
-  // (callers zero-pad). Exact in int32.
-  int32_t (*dot_i8)(const int8_t* a, const int8_t* b, size_t n);
+  // Int8 GEMM with int32 sums over n×k·k×m:
+  //   c[i·ldc + j] = Σ_p a[i·lda + p] · w[p][j]
+  // for i < n, j < m, p < k, with k ≥ 1. A holds int8 codes, row-major
+  // with stride lda ≥ k, and needs no padding; w is packed as
+  // GemmI8PackedIndex lays it out. C is row-major with stride ldc ≥ m;
+  // columns j ≥ m are not touched. Every code, in A and w, must lie in
+  // [-127, 127], as both quantizers clamp them: then the scalar entry's
+  // int16 sums of two products are exact, and the int32 worst case k·127²
+  // stays below 2³¹ for every k up to 133,000. Integer sums are exact in
+  // any order, so both entries give the same sums.
+  void (*gemm_i8)(const int8_t* a, size_t lda, const int16_t* w, int32_t* c,
+                  size_t ldc, size_t n, size_t k, size_t m);
   // In-place tanh-approximation GELU, 0.5·x·(1 + tanh(u)) with
   // u = √(2/π)·(x + 0.044715·x³) and tanh(u) = 1 − 2/(exp(2u) + 1) through
   // the shared exp approximation.
@@ -78,8 +100,7 @@ struct SimdKernelTable {
   void (*softmax)(float* x, size_t n);
   // Symmetric per-row int8 quantization: scale = amax/127, out[i] =
   // clamp(round_nearest_even(x[i]/scale), -127, 127). A zero row gets
-  // scale 0 and all-zero codes. Writes n codes; the caller zero-pads the
-  // tail of `out` up to the block boundary itself.
+  // scale 0 and all-zero codes. Writes exactly n codes.
   void (*quantize_row)(const float* x, size_t n, int8_t* out, float* scale);
   // Strided float GEMM over n×k·k×m:
   //   c[i·ldc + j] = Σ_p a[i·a_row + p·a_col] · b[p·ldb + j]

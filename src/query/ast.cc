@@ -28,7 +28,8 @@ const char* CompareOpSql(CompareOp op) {
 
 std::string Selection::ToSql() const {
   if (op == CompareOp::kStartsWith) {
-    return column.ToString() + " LIKE '" + literal.ToString() + "%'";
+    return column.ToString() + " LIKE " +
+           Value(literal.ToString() + "%").ToSqlLiteral();
   }
   return column.ToString() + " " + CompareOpSql(op) + " " +
          literal.ToSqlLiteral();

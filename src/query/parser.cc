@@ -1,6 +1,8 @@
 #include "query/parser.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <vector>
 
 #include "common/strings.h"
@@ -92,6 +94,33 @@ Result<std::vector<Token>> Lex(const std::string& sql) {
   }
   out.push_back({TokKind::kEnd, ""});
   return out;
+}
+
+// A number token as an INT or DOUBLE literal. The whole token must parse and
+// its value must fit the type: "1.2.3", "1e" and "1e309" are errors, not
+// 1.2, 1 and a throw.
+Result<Value> ParseNumber(const std::string& text) {
+  const char* begin = text.data();
+  const char* end = begin + text.size();
+  Value value;
+  std::from_chars_result parsed{};
+  if (text.find_first_of(".eE") != std::string::npos) {
+    double d = 0.0;
+    parsed = std::from_chars(begin, end, d);
+    value = Value(d);
+  } else {
+    int64_t i = 0;
+    parsed = std::from_chars(begin, end, i);
+    value = Value(i);
+  }
+  if (parsed.ec == std::errc::result_out_of_range) {
+    return Status::InvalidArgument("numeric literal '" + text +
+                                   "' is out of range");
+  }
+  if (parsed.ec != std::errc() || parsed.ptr != end) {
+    return Status::InvalidArgument("malformed numeric literal '" + text + "'");
+  }
+  return value;
 }
 
 class Parser {
@@ -265,14 +294,9 @@ class Parser {
     } else if (Peek().kind == TokKind::kString) {
       literal = Value(Advance().text);
     } else if (Peek().kind == TokKind::kNumber) {
-      const std::string text = Advance().text;
-      if (text.find('.') != std::string::npos ||
-          text.find('e') != std::string::npos ||
-          text.find('E') != std::string::npos) {
-        literal = Value(std::stod(text));
-      } else {
-        literal = Value(static_cast<int64_t>(std::stoll(text)));
-      }
+      auto number = ParseNumber(Advance().text);
+      if (!number.ok()) return number.status();
+      literal = std::move(*number);
     } else {
       return Status::InvalidArgument("expected literal near '" + Peek().text +
                                      "'");

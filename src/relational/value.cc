@@ -1,5 +1,7 @@
 #include "relational/value.h"
 
+#include <charconv>
+#include <cmath>
 #include <functional>
 
 #include "common/check.h"
@@ -43,7 +45,27 @@ std::string Value::ToString() const {
 }
 
 std::string Value::ToSqlLiteral() const {
-  if (is_string()) return "'" + std::get<std::string>(v_) + "'";
+  if (is_string()) {
+    std::string out = "'";
+    for (const char c : std::get<std::string>(v_)) {
+      out += c;
+      if (c == '\'') out += c;  // SQL escapes a quote by doubling it
+    }
+    return out + "'";
+  }
+  if (is_double()) {
+    // The shortest text that reads back as the same double, with ".0"
+    // added where it would otherwise read back as an INT.
+    const double d = std::get<double>(v_);
+    char buf[32] = {};
+    const std::to_chars_result printed =
+        std::to_chars(buf, buf + sizeof(buf), d);
+    std::string out(buf, printed.ptr);
+    if (std::isfinite(d) && out.find_first_of(".e") == std::string::npos) {
+      out += ".0";
+    }
+    return out;
+  }
   return ToString();
 }
 

@@ -47,7 +47,8 @@ class Value {
 
   // Human-readable rendering ("Universal", "2007", "0.5").
   std::string ToString() const;
-  // SQL literal rendering ("'Universal'", "2007").
+  // SQL literal rendering ("'Universal'", "'O''Brien'", "2007", "29.5",
+  // "3.0"), which ParseQuery reads back as the same value.
   std::string ToSqlLiteral() const;
 
   size_t Hash() const;

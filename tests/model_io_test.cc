@@ -262,6 +262,34 @@ TEST_F(ModelIoTest, LoadRejectsMalformedTensorValue) {
                 "malformed tensor data value 'zz'");
 }
 
+// Appends " <field>" to the line that starts at `begin`.
+void AppendField(std::string& text, size_t begin, const std::string& field) {
+  text.insert(text.find('\n', begin), " " + field);
+}
+
+// Each line parser reads a fixed number of fields; anything after them used
+// to be ignored, so a re-sealed file with extra fields loaded as if they
+// were not there.
+TEST_F(ModelIoTest, LoadRejectsTrailingFields) {
+  for (const char* key : {"config", "ranker", "vocab", "tensors"}) {
+    ExpectInvalid(LoadEdited([&](std::string& text) {
+                    const size_t at = text.find(std::string("\n") + key + " ");
+                    AppendField(text, at + 1, "0x1p+0");
+                  }),
+                  std::string("trailing fields on the ") + key + " line");
+  }
+  ExpectInvalid(LoadEdited([](std::string& text) {
+                  AppendField(text, LineAfter(text, "tensors"), "junk");
+                }),
+                "trailing fields on a tensor line");
+  // The last tensor line too, right before the mode line.
+  ExpectInvalid(LoadEdited([](std::string& text) {
+                  const size_t mode = text.find("\nmode ");
+                  AppendField(text, text.rfind('\n', mode - 1) + 1, "0");
+                }),
+                "trailing fields on a tensor line");
+}
+
 TEST_F(ModelIoTest, LoadRejectsUnknownMode) {
   ExpectInvalid(LoadEdited([](std::string& text) {
                   SetKeyField(text, "mode", 1, "int4");
@@ -404,8 +432,9 @@ TEST(RankerConfigureTest, RequantizesTheCurrentWeights) {
 }
 
 // One seeded mutation of a model file: a bit flip, a truncation, a line
-// deleted or duplicated, or a random 1-20 digit number written into a count
-// field of the config, ranker, vocab or tensors line.
+// deleted or duplicated, a random 1-20 digit number written into a count
+// field of the config, ranker, vocab or tensors line, or a field appended
+// to one of those lines or to a tensor line.
 std::string MutateModel(const std::string& in, Rng& rng) {
   std::string out = in;
   std::vector<size_t> starts = {0};
@@ -414,7 +443,7 @@ std::string MutateModel(const std::string& in, Rng& rng) {
   }
   const size_t line = starts[rng.NextBounded(starts.size())];
   const size_t line_end = out.find('\n', line) + 1;
-  switch (rng.NextBounded(5)) {
+  switch (rng.NextBounded(6)) {
     case 0:
       out[rng.NextBounded(out.size())] ^=
           static_cast<char>(1u << rng.NextBounded(8));
@@ -428,6 +457,17 @@ std::string MutateModel(const std::string& in, Rng& rng) {
     case 3:
       out.insert(line, out.substr(line, line_end - line));
       break;
+    case 4: {
+      static const char* const kKeys[] = {"config", "ranker", "vocab",
+                                          "tensors"};
+      const size_t pick = rng.NextBounded(std::size(kKeys) + 1);
+      const size_t begin =
+          pick < std::size(kKeys)
+              ? out.find(std::string("\n") + kKeys[pick] + " ") + 1
+              : LineAfter(out, "tensors");
+      AppendField(out, begin, rng.NextBounded(2) ? "0x1p+0" : "junk");
+      break;
+    }
     default: {
       static const struct {
         const char* key;

@@ -1,9 +1,9 @@
 // Differential tests for the quantized SIMD inference path (DESIGN.md §12):
 //
 //  - KernelBitEquality: the AVX2 and scalar kernels are bit-equal on random
-//    shapes, and the float GEMM equals the naive ascending-sum loop (this is
-//    what lets the AVX2-disabled CI leg certify the scalar fallback as the
-//    same function).
+//    shapes, the float GEMM equals the naive ascending-sum loop and the int8
+//    GEMM the naive int32 loop (this is what lets the AVX2-disabled CI leg
+//    certify the scalar fallback as the same function).
 //  - Float forward: the one const ForwardInference gives the same bits
 //    whether or not a training step passes an activation record.
 //  - One-row forward: asking the float or int8 encoder for the [CLS] row
@@ -11,6 +11,8 @@
 //  - QuantizedLinear: codes reconstruct the float weights within half a
 //    quantization step, and the int8 forward stays inside the analytic
 //    error bound of the scheme.
+//  - Golden pin: a hash of seeded int8 predictions keeps its recorded
+//    value at both SIMD levels.
 //  - End-to-end: quantized top-k rankings agree with the float oracle on
 //    the held-out eval split within a small NDCG tolerance, batched lineage
 //    scoring equals per-fact scoring, and one shared const ranker scored
@@ -66,19 +68,68 @@ class KernelBitEquality : public ::testing::Test {
   void TearDown() override { SetSimdLevel(DetectedSimdLevel()); }
 };
 
-TEST_F(KernelBitEquality, DotInt8) {
+// The int8 GEMM: both entries must give the naive int32 triple loop's sums
+// on random shapes — one row and 4i + 1 rows, odd and even k, channel
+// counts on both sides of the 8- and 16-wide tiles — with codes at ±127,
+// including runs of them, and C a slice of wider rows whose other columns
+// stay untouched.
+TEST_F(KernelBitEquality, Int8Gemm) {
   auto [scalar, simd] = GetTables();
   Rng rng(101);
-  for (size_t n : {kInt8BlockElems, 2 * kInt8BlockElems, 3 * kInt8BlockElems,
-                   8 * kInt8BlockElems}) {
-    std::vector<int8_t> a(n), b(n);
-    for (size_t i = 0; i < n; ++i) {
-      a[i] = static_cast<int8_t>(static_cast<int>(rng.NextBounded(255)) - 127);
-      b[i] = static_cast<int8_t>(static_cast<int>(rng.NextBounded(255)) - 127);
+  const int32_t kUntouched = 0x5eed;
+  static constexpr size_t kWidths[] = {1, 7, 8, 9, 15, 16, 17, 48, 96, 144};
+  const auto random_code = [&rng] {
+    return static_cast<int8_t>(static_cast<int>(rng.NextBounded(255)) - 127);
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t n = trial % 6 == 0   ? 1
+                     : trial % 6 == 1 ? 4 * (1 + rng.NextBounded(20)) + 1
+                                      : 1 + rng.NextBounded(80);
+    // Around 128, then two k that the kernels stage in chunks of 512 codes,
+    // whose sums add up in C.
+    static constexpr size_t kFixedK[] = {127, 128, 129, 130, 600, 1025};
+    const size_t k = trial < 6 ? kFixedK[trial] : 1 + rng.NextBounded(130);
+    const size_t m = kWidths[trial % std::size(kWidths)];
+    const size_t lda = k + (trial % 2 == 0 ? 0 : 1 + rng.NextBounded(9));
+    const size_t ldc = m + 1 + rng.NextBounded(12);
+    std::vector<int8_t> a(n * lda);
+    for (int8_t& code : a) code = random_code();
+    std::vector<int8_t> w(k * m);
+    for (int8_t& code : w) code = random_code();
+    // Runs of ±127, the int32 worst case.
+    if (trial % 3 == 0) {
+      for (size_t p = 0; p < k; ++p) {
+        a[p] = 127;
+        w[p * m] = trial % 2 == 0 ? 127 : -127;
+      }
     }
-    EXPECT_EQ(scalar->dot_i8(a.data(), b.data(), n),
-              simd->dot_i8(a.data(), b.data(), n))
-        << "n=" << n;
+    std::vector<int16_t> packed(GemmI8PackedSize(k, m), 0);
+    for (size_t p = 0; p < k; ++p) {
+      for (size_t j = 0; j < m; ++j) {
+        packed[GemmI8PackedIndex(p, j, k)] = w[p * m + j];
+      }
+    }
+
+    std::vector<int32_t> want(n * ldc, kUntouched);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < m; ++j) {
+        int32_t acc = 0;
+        for (size_t p = 0; p < k; ++p) {
+          acc += static_cast<int32_t>(a[i * lda + p]) * w[p * m + j];
+        }
+        want[i * ldc + j] = acc;
+      }
+    }
+    std::vector<int32_t> got_scalar(n * ldc, kUntouched);
+    std::vector<int32_t> got_simd(n * ldc, kUntouched);
+    scalar->gemm_i8(a.data(), lda, packed.data(), got_scalar.data(), ldc, n,
+                    k, m);
+    simd->gemm_i8(a.data(), lda, packed.data(), got_simd.data(), ldc, n, k,
+                  m);
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k << " m=" << m
+                                      << " lda=" << lda << " ldc=" << ldc);
+    EXPECT_EQ(got_scalar, want);
+    EXPECT_EQ(got_simd, want);
   }
 }
 
@@ -373,27 +424,29 @@ TEST(EncoderRowsTest, ClsRowForwardMatchesFullForward) {
 
 TEST(QuantizedLinearTest, CodesReconstructWeightsWithinHalfStep) {
   Rng rng(41);
-  const size_t in = 24, out = 12;
+  const size_t in = 23, out = 12;
   const Tensor w = Tensor::Randn(in, out, 1.0f, rng);
   const Tensor b = Tensor::Randn(1, out, 1.0f, rng);
   const QuantizedLinear q = QuantizedLinear::FromFloat(w, b);
   ASSERT_EQ(q.in(), in);
   ASSERT_EQ(q.out(), out);
-  ASSERT_EQ(q.in_pad() % kInt8BlockElems, 0u);
   for (size_t j = 0; j < out; ++j) {
     float amax = 0.0f;
     for (size_t i = 0; i < in; ++i) amax = std::max(amax, std::abs(w.at(i, j)));
     EXPECT_FLOAT_EQ(q.scales()[j], amax / 127.0f);
     for (size_t i = 0; i < in; ++i) {
-      const float code =
-          static_cast<float>(q.weights()[j * q.in_pad() + i]);
+      const float code = static_cast<float>(q.code(i, j));
       EXPECT_NEAR(code * q.scales()[j], w.at(i, j),
                   0.5f * q.scales()[j] + 1e-6f);
     }
-    // The padded tail must be zero codes (they face zero-padded activations
-    // but keeping them zero makes the layout checksum-stable).
-    for (size_t i = in; i < q.in_pad(); ++i) {
-      EXPECT_EQ(q.weights()[j * q.in_pad() + i], 0);
+  }
+  // The packed layout's padding — the odd input's pair partner and the
+  // channels past `out` in the last 8-channel block — holds zero codes, so
+  // it adds nothing to any sum.
+  for (size_t j = 0; j < GemmI8PadM(out); ++j) {
+    for (size_t i = 0; i < GemmI8PadK(in); ++i) {
+      if (i < in && j < out) continue;
+      EXPECT_EQ(q.code(i, j), 0) << "i=" << i << " j=" << j;
     }
   }
 }
@@ -430,6 +483,56 @@ TEST(QuantizedLinearTest, ForwardStaysInsideAnalyticErrorBound) {
       EXPECT_NEAR(got.at(r, j), want, bound) << "r=" << r << " j=" << j;
     }
   }
+}
+
+// ---- Golden pin: int8 predictions keep their bits ----
+
+// FNV-1a over the bits of every int8 PredictShapley output of seeded,
+// untrained Base, Large and SmallAblation models at every length 1-80,
+// every third input with one masked key.
+uint64_t QuantizedPredictionHash() {
+  const size_t vocab = 60;
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const EncoderConfig& cfg :
+       {EncoderConfig::Base(vocab), EncoderConfig::Large(vocab),
+        EncoderConfig::SmallAblation(vocab)}) {
+    const LearnShapleyModel model(cfg, 77);
+    const QuantizedShapleyModel qmodel =
+        QuantizedShapleyModel::FromModel(model);
+    Rng rng(cfg.dim + cfg.num_layers);
+    QuantScratch scratch;
+    for (size_t len = 1; len <= cfg.max_len; ++len) {
+      EncodedPair input;
+      input.ids.push_back(Vocab::kCls);
+      for (size_t i = 1; i < len; ++i) {
+        input.ids.push_back(static_cast<int>(
+            Vocab::kNumSpecial + rng.NextBounded(vocab - Vocab::kNumSpecial)));
+      }
+      input.mask.assign(len, true);
+      if (len % 3 == 0) input.mask[rng.NextBounded(len)] = false;
+      const float pred = qmodel.PredictShapley(input, scratch);
+      uint32_t bits;
+      std::memcpy(&bits, &pred, sizeof(bits));
+      for (int byte = 0; byte < 4; ++byte) {
+        hash ^= (bits >> (8 * byte)) & 0xffu;
+        hash *= 0x100000001b3ull;
+      }
+    }
+  }
+  return hash;
+}
+
+// The value was recorded with the per-channel dot-product kernel the int8
+// GEMM replaced. Integer sums are exact in any order, so no kernel, tiling
+// or weight layout may move it, at either SIMD level.
+TEST(QuantizedGoldenTest, QuantizedPredictionsKeepTheirBits) {
+  constexpr uint64_t kWant = 0xb3be2c19165c3688ull;
+  const SimdLevel detected = DetectedSimdLevel();
+  for (const SimdLevel level : {SimdLevel::kScalar, detected}) {
+    SetSimdLevel(level);
+    EXPECT_EQ(QuantizedPredictionHash(), kWant) << SimdLevelName(level);
+  }
+  SetSimdLevel(detected);
 }
 
 // ---- End-to-end: quantized vs float oracle on the eval split ----

@@ -2,8 +2,9 @@
 # Tier-1 check under sanitizers. LSHAP_SANITIZE selects the mode:
 #
 #   address (default, alias ON) — ASan+UBSan build tree (build-sanitize),
-#       full test suite, including corpus_io_test's seeded corruption sweep
-#       over the shard and manifest decoders.
+#       full test suite, including the seeded corruption sweeps over the
+#       shard and manifest decoders (corpus_io_test), model files
+#       (model_io_test) and SQL text (parser_test).
 #   thread — TSan build tree (build-tsan), running the concurrency-heavy
 #       tests: the morsel-parallel evaluator differential tests
 #       (eval_property_test), the null-semantics golden pins — parallel
