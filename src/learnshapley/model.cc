@@ -35,22 +35,9 @@ TrainingWorkspace& TlsTrainingWorkspace() {
 const Tensor& LearnShapleyModel::Cls(const EncodedPair& input,
                                      InferenceArena& arena,
                                      EncoderRecord* record) const {
-  // Without a record only [CLS] is read, so the last block computes it alone.
-  Tensor& hidden = arena.Get(input.ids.size(), encoder_.config().dim);
-  encoder_.ForwardInference(input.ids, input.mask, arena, hidden, record,
-                            record != nullptr ? kAllRows : 1);
-  Tensor& cls = arena.Get(1, hidden.cols());
-  std::copy(hidden.row_data(0), hidden.row_data(0) + hidden.cols(),
-            cls.row_data(0));
+  Tensor& cls = arena.Get(1, encoder_.config().dim);
+  encoder_.ForwardInference(input.ids, input.mask, arena, cls, record, 1);
   return cls;
-}
-
-void LearnShapleyModel::BackwardFromCls(const EncoderRecord& record,
-                                        const Tensor& d_cls) {
-  Tensor d_hidden(record.ids.size(), d_cls.cols());
-  std::copy(d_cls.row_data(0), d_cls.row_data(0) + d_cls.cols(),
-            d_hidden.row_data(0));
-  encoder_.Backward(record, d_hidden);
 }
 
 float LearnShapleyModel::PretrainStep(const EncodedPair& pair,
@@ -75,7 +62,7 @@ float LearnShapleyModel::PretrainStep(const EncodedPair& pair,
   if (objectives.witness) run_head(head_witness_, sim_witness);
   if (objectives.syntax) run_head(head_syntax_, sim_syntax);
 
-  BackwardFromCls(ws.record, d_cls);
+  encoder_.Backward(ws.record, d_cls);
   return loss;
 }
 
@@ -103,7 +90,7 @@ float LearnShapleyModel::FinetuneStep(const EncodedPair& input, float target) {
 
   Tensor d_pred(1, 1);
   d_pred.at(0, 0) = 2.0f * err;
-  BackwardFromCls(ws.record, head_shapley_.Backward(cls, d_pred));
+  encoder_.Backward(ws.record, head_shapley_.Backward(cls, d_pred));
   return err * err;
 }
 

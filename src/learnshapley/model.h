@@ -74,11 +74,12 @@ class LearnShapleyModel {
   const Linear& head_shapley() const { return head_shapley_; }
 
  private:
-  // The encoder forward up to the [CLS] row (an arena slot). Training steps
-  // pass `record`, then hand it to BackwardFromCls with d[CLS].
+  // The encoder forward up to the [CLS] row (an arena slot); every head
+  // reads that row alone, so the last block computes it alone. Training
+  // steps pass `record`, then hand it to the encoder's Backward with the
+  // 1-row d[CLS].
   const Tensor& Cls(const EncodedPair& input, InferenceArena& arena,
                     EncoderRecord* record = nullptr) const;
-  void BackwardFromCls(const EncoderRecord& record, const Tensor& d_cls);
 
   TransformerEncoder encoder_;
   Linear head_rank_;

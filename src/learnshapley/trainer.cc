@@ -216,7 +216,8 @@ std::vector<std::pair<FactId, double>> SortedLineage(
 // Pre-training on the similarity objectives. Operates only on cached query
 // token streams plus the similarity matrices, which are indexed by global
 // entry index, so it never touches a shard. Restores the best-dev-MSE
-// checkpoint into `model` and returns that MSE.
+// checkpoint into `model` and returns that MSE. With no dev pairs (an empty
+// dev or train split) it keeps the last epoch and returns 0.
 double PretrainOnSims(const std::vector<size_t>& train,
                       const std::vector<size_t>& dev_idx,
                       const std::vector<std::vector<std::string>>& query_tokens,
@@ -288,14 +289,17 @@ double PretrainOnSims(const std::vector<size_t>& train,
     metrics.pretrain_epoch_loss.Set(
         static_cast<double>(epoch_loss) /
         static_cast<double>(std::max<size_t>(1, take)));
+    optimizer.set_lr(optimizer.lr() * config.lr_decay);
+    if (dev_pairs.empty()) continue;
+    ScopedSpan dev_span(config.metrics, "train.dev_mse");
     const double dev_mse = PairMse(dev_pairs, config.objectives, model, pool);
     metrics.pretrain_dev_mse.Set(dev_mse);
     if (dev_mse < best_mse) {
       best_mse = dev_mse;
       best_weights = model.SnapshotWeights();
     }
-    optimizer.set_lr(optimizer.lr() * config.lr_decay);
   }
+  if (dev_pairs.empty()) return 0.0;
   model.RestoreWeights(best_weights);
   return best_mse;
 }
@@ -421,6 +425,9 @@ Result<TrainResult> TrainLearnShapleyStream(const CorpusStream& stream,
     return a;
   }());
 
+  // An empty dev split scores nothing, so no epoch could beat the first:
+  // skip the dev pass and keep the last epoch instead.
+  const bool has_dev = !stream.dev_idx().empty();
   double best_ndcg = -1.0;
   std::vector<Tensor> best_weights = model.SnapshotWeights();
 
@@ -490,7 +497,10 @@ Result<TrainResult> TrainLearnShapleyStream(const CorpusStream& stream,
     metrics.finetune_epoch_loss.Set(
         static_cast<double>(epoch_loss) /
         static_cast<double>(std::max<size_t>(1, epoch_examples)));
+    optimizer.set_lr(optimizer.lr() * config.lr_decay);
+    if (!has_dev) continue;
     // Dev NDCG@10 for checkpoint selection, streamed over the dev shards.
+    ScopedSpan dev_span(config.metrics, "train.dev_ndcg");
     LearnShapleyRanker dev_ranker(model, vocab, config.max_len,
                                   config.shapley_scale, "dev");
     auto dev = EvaluateScorerStream(stream, stream.dev_idx(), dev_ranker, {},
@@ -501,10 +511,11 @@ Result<TrainResult> TrainLearnShapleyStream(const CorpusStream& stream,
       best_ndcg = dev->ndcg10;
       best_weights = model.SnapshotWeights();
     }
-    optimizer.set_lr(optimizer.lr() * config.lr_decay);
   }
-  model.RestoreWeights(best_weights);
-  result.best_dev_ndcg10 = best_ndcg;
+  if (has_dev) {
+    model.RestoreWeights(best_weights);
+    result.best_dev_ndcg10 = best_ndcg;
+  }
 
   result.ranker = std::make_unique<LearnShapleyRanker>(
       std::move(model), vocab, config.max_len, config.shapley_scale,

@@ -64,8 +64,11 @@ struct TrainConfig {
   std::vector<size_t> train_subset;
   // Observability opt-in: when set, training records train.* gauges
   // (per-epoch loss, dev metrics, examples/sec), example counters, and an
-  // Adam step-time histogram, under "train" > "train.pretrain" /
-  // "train.finetune" spans. Null disables all of it at one-branch cost.
+  // Adam step-time histogram, under a "train" span whose children are
+  // "train.vocab_pass", "train.pretrain" and "train.finetune". Each epoch's
+  // dev pass is a child of its stage: "train.dev_mse" (PairMse) and
+  // "train.dev_ndcg" (EvaluateScorerStream). Null disables all of it at
+  // one-branch cost; it never changes the trained weights.
   MetricsRegistry* metrics = nullptr;
 
   TrainConfig& WithModelSize(ModelSize s) { model_size = s; return *this; }
@@ -112,6 +115,9 @@ struct TrainConfig {
   TrainConfig& WithMetrics(MetricsRegistry* m) { metrics = m; return *this; }
 };
 
+// Each stage keeps the epoch that scores best on the dev split. With an
+// empty dev split no dev pass runs: each stage keeps its last epoch, and
+// pretrain_dev_mse and best_dev_ndcg10 read 0.
 struct TrainResult {
   std::unique_ptr<LearnShapleyRanker> ranker;
   double pretrain_dev_mse = 0.0;   // of the selected pre-train checkpoint
@@ -146,11 +152,10 @@ TrainResult TrainLearnShapley(const Corpus& corpus,
 //    every epoch.
 //
 // Both the vocabulary pass and the sample enumeration visit each lineage's
-// facts in ascending FactId order. On a serial pool the result is
-// therefore a function of (config, corpus content, shard layout) alone: a
-// corpus and its one-shard save/load round trip train to the same model.
-// With more workers, the order in which a batch's gradients are summed
-// follows scheduling.
+// facts in ascending FactId order, and each batch's gradients are summed in
+// fixed lanes. So the result is a function of (config, corpus content,
+// shard layout) alone, at any thread count: a corpus and its one-shard
+// save/load round trip train to the same model.
 //
 // `sims` may be null to skip pre-training — the similarity matrices are
 // corpus-global (N×N over all entries) and so only exist when the corpus

@@ -69,7 +69,6 @@ void TransformerEncoder::ForwardInference(const std::vector<int>& ids,
                                           size_t out_rows) const {
   LSHAP_CHECK_EQ(ids.size(), mask.size());
   const size_t n = ids.size();
-  LSHAP_CHECK(record == nullptr || out_rows >= n);
   const size_t dim = config_.dim;
   Tensor& h0 = arena.Get(n, dim);
   Embed(tok_emb_.table(), pos_emb_.table(), ids, h0);

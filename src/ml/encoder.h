@@ -26,7 +26,9 @@ struct EncoderConfig {
 };
 
 // What TransformerEncoder::Backward reads: the token ids and every
-// block's record. Owned by the training step that runs the forward.
+// block's record. Like the forward's output, the last block's record and
+// final_ln cover only the rows the forward computed. Owned by the training
+// step that runs the forward.
 struct EncoderRecord {
   std::vector<int> ids;
   std::vector<TransformerLayerRecord> layers;
@@ -46,12 +48,14 @@ class TransformerEncoder {
   // encoder. A training step passes `record`, then calls Backward with it.
   // `out` receives the first min(out_rows, ids.size()) rows: every block
   // but the last computes all positions, the last block and the final
-  // LayerNorm only the rows read. A record needs every row.
+  // LayerNorm only the rows read.
   void ForwardInference(const std::vector<int>& ids,
                         const std::vector<bool>& mask, InferenceArena& arena,
                         Tensor& out, EncoderRecord* record = nullptr,
                         size_t out_rows = kAllRows) const;
   // Accumulates parameter grads for the forward that filled `record`.
+  // `d_hidden` is the gradient of that forward's output rows, so a training
+  // step that read only [CLS] passes one row.
   void Backward(const EncoderRecord& record, const Tensor& d_hidden);
 
   // out[i] = tok_table[ids[i]] + pos_table[i]: the embedding sum that opens

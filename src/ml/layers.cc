@@ -107,6 +107,7 @@ void LayerNorm::ForwardInference(const Tensor& x, Tensor& y,
 Tensor LayerNorm::Backward(const LayerNormRecord& record, const Tensor& dy) {
   const size_t n = dy.rows();
   const size_t d = dy.cols();
+  LSHAP_CHECK_EQ(record.rstd.size(), n);
   Tensor dx(n, d);
   const float* g = gamma_.value.row_data(0);
   for (size_t r = 0; r < n; ++r) {
@@ -213,7 +214,6 @@ void MultiHeadSelfAttention::ForwardInference(const Tensor& x,
                                               size_t out_rows) const {
   const size_t n = x.rows();
   const size_t m = std::min(out_rows, n);
-  LSHAP_CHECK(record == nullptr || m == n);
   // Keys and values cover every position; queries only the rows read.
   const Tensor* xq = &x;
   if (m < n) {
@@ -243,10 +243,12 @@ void MultiHeadSelfAttention::ForwardInference(const Tensor& x,
 
 Tensor MultiHeadSelfAttention::Backward(const AttentionRecord& record,
                                         const Tensor& dy) {
-  const size_t n = dy.rows();
+  // m query rows were computed, over n keys and values.
+  const size_t m = dy.rows();
+  const size_t n = record.x.rows();
   Tensor d_concat = out_proj_.Backward(record.concat, dy);
 
-  Tensor dq(n, dim_);
+  Tensor dq(m, dim_);
   Tensor dk(n, dim_);
   Tensor dv(n, dim_);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
@@ -254,7 +256,7 @@ Tensor MultiHeadSelfAttention::Backward(const AttentionRecord& record,
   // Vᵀ once, so each head's V_hᵀ is a block of rows with row stride n.
   Tensor vt;
   TransposeInto(record.v, vt);
-  Tensor d_attn(n, n);
+  Tensor d_attn(m, n);
   const auto gemm = SimdKernels().gemm_f32;
   for (size_t h = 0; h < num_heads_; ++h) {
     const size_t off = h * head_dim_;
@@ -262,13 +264,13 @@ Tensor MultiHeadSelfAttention::Backward(const AttentionRecord& record,
     const float* d_out = d_concat.data() + off;
 
     // d_attn = dO_h · V_hᵀ;  dV_h = attnᵀ · dO_h.
-    gemm(d_out, dim_, 1, vt.row_data(off), n, d_attn.data(), n, n, head_dim_,
+    gemm(d_out, dim_, 1, vt.row_data(off), n, d_attn.data(), n, m, head_dim_,
          n);
-    gemm(attn.data(), 1, n, d_out, dim_, dv.data() + off, dim_, n, n,
+    gemm(attn.data(), 1, n, d_out, dim_, dv.data() + off, dim_, n, m,
          head_dim_);
     // Softmax backward per row, ds = a ⊙ (d_attn − Σ_j a_j d_attn_j), and
     // the score scale: S = ds · scale.
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < m; ++i) {
       const float* arow = attn.row_data(i);
       float* darow = d_attn.row_data(i);
       float dot = 0.0f;
@@ -280,12 +282,20 @@ Tensor MultiHeadSelfAttention::Backward(const AttentionRecord& record,
     }
     // Scores backward: dQ_h = S · K_h;  dK_h = Sᵀ · Q_h.
     gemm(d_attn.data(), n, 1, record.k.data() + off, dim_, dq.data() + off,
-         dim_, n, n, head_dim_);
+         dim_, m, n, head_dim_);
     gemm(d_attn.data(), 1, n, record.q.data() + off, dim_, dk.data() + off,
-         dim_, n, n, head_dim_);
+         dim_, n, m, head_dim_);
   }
 
-  Tensor dx = q_proj_.Backward(record.x, dq);
+  // The q projection read only the first m input rows.
+  const Tensor* xq = &record.x;
+  Tensor top;
+  if (m < n) {
+    top.AssignTopRows(record.x, m);
+    xq = &top;
+  }
+  Tensor dx(n, dim_);
+  dx.AddTopRows(q_proj_.Backward(*xq, dq));
   dx.Add(k_proj_.Backward(record.x, dk));
   dx.Add(v_proj_.Backward(record.x, dv));
   return dx;
@@ -350,10 +360,10 @@ Tensor TransformerLayer::Backward(const TransformerLayerRecord& record,
                                     ffn2_.Backward(record.gelu_out, dy))));
   Tensor dh = dy;
   dh.Add(d_ffn);
-  // Attention residual branch.
-  Tensor d_attn = ln1_.Backward(record.ln1, attn_.Backward(record.attn, dh));
-  Tensor dx = dh;
-  dx.Add(d_attn);
+  // Attention residual branch. The residual reaches only the computed rows;
+  // attention reaches every input row.
+  Tensor dx = ln1_.Backward(record.ln1, attn_.Backward(record.attn, dh));
+  dx.AddTopRows(dh);
   return dx;
 }
 

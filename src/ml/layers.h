@@ -50,8 +50,9 @@ class InferenceArena {
 // the caller reads, all by default. Attention row i depends on query i and on
 // every key and value, and every other stage works row by row, so the rows a
 // shorter forward computes carry the same bits as in the full forward. A
-// forward that fills an activation record computes every row, because
-// Backward reads full records.
+// recorded forward records the rows it computes, and Backward takes the
+// gradient of those rows only. The rows left out would add only exact zeros
+// to gradient sums that start from +0, so no parameter gradient moves a bit.
 inline constexpr size_t kAllRows = static_cast<size_t>(-1);
 
 // Affine map y = x·W + b.
@@ -124,12 +125,15 @@ class Gelu {
   static Tensor Backward(const Tensor& x, const Tensor& dy);
 };
 
-// What MultiHeadSelfAttention::Backward reads.
+// What MultiHeadSelfAttention::Backward reads, for a forward of n input
+// rows that computed the first m output rows.
 struct AttentionRecord {
-  Tensor x;                  // input of the q/k/v projections
-  Tensor q, k, v;
-  std::vector<Tensor> attn;  // per-head n×n softmax weights
-  Tensor concat;             // input of the output projection
+  Tensor x;                  // input of the k/v projections (n rows); the
+                             // q projection's is its first m rows
+  Tensor q;                  // m rows
+  Tensor k, v;               // n rows
+  std::vector<Tensor> attn;  // per-head m×n softmax weights
+  Tensor concat;             // input of the output projection (m rows)
 };
 
 // The scaled-dot-product core that the float and int8 encoders run after
@@ -160,6 +164,8 @@ class MultiHeadSelfAttention {
                         InferenceArena& arena, Tensor& out,
                         AttentionRecord* record = nullptr,
                         size_t out_rows = kAllRows) const;
+  // `dy` is the gradient of the m rows the recorded forward computed; the
+  // result covers all n input rows, since every key and value feeds them.
   Tensor Backward(const AttentionRecord& record, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);
@@ -177,7 +183,8 @@ class MultiHeadSelfAttention {
   Linear q_proj_, k_proj_, v_proj_, out_proj_;
 };
 
-// What TransformerLayer::Backward reads.
+// What TransformerLayer::Backward reads. ln1 covers every input row; ln2
+// and the FFN inputs only the rows the forward computed.
 struct TransformerLayerRecord {
   LayerNormRecord ln1, ln2;
   AttentionRecord attn;
@@ -199,6 +206,8 @@ class TransformerLayer {
                         InferenceArena& arena, Tensor& out,
                         TransformerLayerRecord* record = nullptr,
                         size_t out_rows = kAllRows) const;
+  // Like MultiHeadSelfAttention::Backward: `dy` covers the computed rows,
+  // the result every input row.
   Tensor Backward(const TransformerLayerRecord& record, const Tensor& dy);
 
   void CollectParams(std::vector<Param*>& out);

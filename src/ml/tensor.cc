@@ -19,6 +19,12 @@ void Tensor::Add(const Tensor& other) {
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
 }
 
+void Tensor::AddTopRows(const Tensor& top) {
+  LSHAP_CHECK_EQ(cols_, top.cols_);
+  LSHAP_CHECK_LE(top.rows_, rows_);
+  for (size_t i = 0; i < top.data_.size(); ++i) data_[i] += top.data_[i];
+}
+
 void Tensor::AddScaled(const Tensor& other, float scale) {
   LSHAP_CHECK_EQ(size(), other.size());
   for (size_t i = 0; i < data_.size(); ++i) {

@@ -58,6 +58,8 @@ class Tensor {
 
   // this += other (same shape).
   void Add(const Tensor& other);
+  // The first top.rows() rows += top (same cols).
+  void AddTopRows(const Tensor& top);
   // this += scale * other.
   void AddScaled(const Tensor& other, float scale);
 

@@ -300,11 +300,13 @@ uint64_t WeightsFingerprint(LearnShapleyRanker& ranker) {
 // The batch size 12 leaves lanes of unequal length. The pins fix the
 // trained weights themselves (this fixture's dev split always ranks
 // perfectly, so its NDCG is 1): a change that moves them must say so.
+// SmallAblation's only block is the last; Base's first block takes its
+// gradient from the one-row last block above it. The Base pin was taken
+// while training still ran and back-propagated every row of the last block.
 TEST_F(CorpusStreamTest, TrainingIsIdenticalAtAnyThreadCount) {
   const SimilarityMatrices sims =
       ComputeSimilarityMatrices(corpus_, 16, pool_);
   TrainConfig cfg;
-  cfg.model_size = TrainConfig::ModelSize::kSmallAblation;
   cfg.pretrain_epochs = 1;
   cfg.pretrain_pairs_per_epoch = 40;
   cfg.finetune_epochs = 2;
@@ -312,16 +314,99 @@ TEST_F(CorpusStreamTest, TrainingIsIdenticalAtAnyThreadCount) {
   cfg.batch_size = 12;
   cfg.seed = 5;
 
-  for (size_t threads : {1, 1, 2, 2, 4, 4}) {
-    SCOPED_TRACE(::testing::Message() << threads << " threads");
-    ThreadPool pool(threads);
-    InMemoryCorpusStream stream(corpus_);
-    auto result = TrainLearnShapleyStream(stream, &sims, cfg, pool);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(WeightsFingerprint(*result->ranker), 0x1f75a4308eb8b950u);
-    EXPECT_EQ(result->pretrain_dev_mse, 0x1.adb8e9dbbcd3cp-2);
-    EXPECT_EQ(result->best_dev_ndcg10, 1.0);
+  struct Pin {
+    TrainConfig::ModelSize size;
+    uint64_t weights;
+    double pretrain_dev_mse;
+  };
+  for (const Pin& pin :
+       {Pin{TrainConfig::ModelSize::kSmallAblation, 0x1f75a4308eb8b950u,
+            0x1.adb8e9dbbcd3cp-2},
+        Pin{TrainConfig::ModelSize::kBase, 0x6b7bce456808713du,
+            0x1.4ab14956b1f5fp-2}}) {
+    cfg.model_size = pin.size;
+    for (size_t threads : {1, 1, 2, 2, 4, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "size " << static_cast<int>(pin.size) << ", "
+                   << threads << " threads");
+      ThreadPool pool(threads);
+      InMemoryCorpusStream stream(corpus_);
+      auto result = TrainLearnShapleyStream(stream, &sims, cfg, pool);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(WeightsFingerprint(*result->ranker), pin.weights);
+      EXPECT_EQ(result->pretrain_dev_mse, pin.pretrain_dev_mse);
+      EXPECT_EQ(result->best_dev_ndcg10, 1.0);
+    }
   }
+}
+
+// An empty dev split would score MSE 0 and NDCG 0 in every epoch, so
+// selecting on it would keep each stage's first epoch and drop the rest.
+// With no dev entries each stage keeps its last epoch instead.
+TEST_F(CorpusStreamTest, EmptyDevSplitKeepsTheLastEpoch) {
+  const SimilarityMatrices sims =
+      ComputeSimilarityMatrices(corpus_, 16, pool_);
+  Corpus no_dev = corpus_;
+  no_dev.dev_idx.clear();
+  InMemoryCorpusStream stream(no_dev);
+  // The weight fingerprint of a run with the given epoch counts.
+  const auto train = [&](size_t pretrain_epochs,
+                         size_t finetune_epochs) -> uint64_t {
+    TrainConfig cfg;
+    cfg.model_size = TrainConfig::ModelSize::kSmallAblation;
+    cfg.pretrain_epochs = pretrain_epochs;
+    cfg.pretrain_pairs_per_epoch = 40;
+    cfg.finetune_epochs = finetune_epochs;
+    cfg.finetune_samples_per_epoch = 60;
+    cfg.batch_size = 12;
+    cfg.seed = 5;
+    auto result = TrainLearnShapleyStream(stream, &sims, cfg, pool_);
+    if (!result.ok()) {
+      ADD_FAILURE() << result.status().ToString();
+      return 0;
+    }
+    EXPECT_EQ(result->pretrain_dev_mse, 0.0);
+    EXPECT_EQ(result->best_dev_ndcg10, 0.0);
+    return WeightsFingerprint(*result->ranker);
+  };
+  EXPECT_NE(train(1, 0), train(2, 0));
+  EXPECT_NE(train(0, 1), train(0, 2));
+}
+
+// Each epoch's dev pass runs under its own span, a child of its stage's, and
+// recording metrics moves no trained weight.
+TEST_F(CorpusStreamTest, TrainingMetricsSpanTheDevPassesAndMoveNoWeight) {
+  const SimilarityMatrices sims =
+      ComputeSimilarityMatrices(corpus_, 16, pool_);
+  TrainConfig cfg;
+  cfg.model_size = TrainConfig::ModelSize::kSmallAblation;
+  cfg.pretrain_epochs = 2;
+  cfg.pretrain_pairs_per_epoch = 40;
+  cfg.finetune_epochs = 3;
+  cfg.finetune_samples_per_epoch = 60;
+  cfg.batch_size = 12;
+  cfg.seed = 5;
+  InMemoryCorpusStream stream(corpus_);
+  auto plain = TrainLearnShapleyStream(stream, &sims, cfg, pool_);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+
+  MetricsRegistry registry;
+  cfg.metrics = &registry;
+  auto observed = TrainLearnShapleyStream(stream, &sims, cfg, pool_);
+  ASSERT_TRUE(observed.ok()) << observed.status().ToString();
+  EXPECT_EQ(WeightsFingerprint(*observed->ranker),
+            WeightsFingerprint(*plain->ranker));
+  EXPECT_EQ(observed->pretrain_dev_mse, plain->pretrain_dev_mse);
+  EXPECT_EQ(observed->best_dev_ndcg10, plain->best_dev_ndcg10);
+
+  EXPECT_EQ(registry.SpanAt({"train", "train.vocab_pass"}).count, 1u);
+  EXPECT_EQ(registry.SpanAt({"train", "train.pretrain"}).count, 1u);
+  EXPECT_EQ(registry.SpanAt({"train", "train.pretrain", "train.dev_mse"}).count,
+            2u);
+  EXPECT_EQ(registry.SpanAt({"train", "train.finetune"}).count, 1u);
+  EXPECT_EQ(
+      registry.SpanAt({"train", "train.finetune", "train.dev_ndcg"}).count,
+      3u);
 }
 
 // Pre-training and fine-tuning on the fixture's 4-thread pool: the dev-MSE

@@ -272,9 +272,30 @@ TEST(AttentionTest, PaddingMaskExcludesKeys) {
 
 // ---- SIMD level independence ----
 
+// The [CLS] row of one recorded forward that computes the first
+// d_hidden.rows() output rows, then every parameter gradient of Backward of
+// `d_hidden`.
+std::vector<float> RecordedClsAndGradients(TransformerEncoder& enc,
+                                           const std::vector<int>& ids,
+                                           const std::vector<bool>& mask,
+                                           const Tensor& d_hidden) {
+  const std::vector<Param*> params = enc.Params();
+  for (Param* p : params) p->ZeroGrad();
+  InferenceArena arena;
+  EncoderRecord record;
+  Tensor y;
+  enc.ForwardInference(ids, mask, arena, y, &record, d_hidden.rows());
+  enc.Backward(record, d_hidden);
+  std::vector<float> out(y.row_data(0), y.row_data(0) + y.cols());
+  for (const Param* p : params) {
+    out.insert(out.end(), p->grad.data(), p->grad.data() + p->grad.size());
+  }
+  return out;
+}
+
 // Everything the float and int8 encoders compute for one input, flattened:
-// the full forward, the one-row forward, the int8 forward, and every
-// parameter gradient of one recorded forward plus Backward of `d_hidden`.
+// the full forward, the one-row forward, the int8 forward, then
+// RecordedClsAndGradients of `d_hidden` and of its first row alone.
 std::vector<float> EncoderOutputs(TransformerEncoder& enc,
                                   const QuantizedEncoder& qenc,
                                   const std::vector<int>& ids,
@@ -294,13 +315,13 @@ std::vector<float> EncoderOutputs(TransformerEncoder& enc,
   QuantScratch scratch;
   qenc.Forward(ids, mask, scratch, y);
   append(y);
-  const std::vector<Param*> params = enc.Params();
-  for (Param* p : params) p->ZeroGrad();
-  arena.Reset();
-  EncoderRecord record;
-  enc.ForwardInference(ids, mask, arena, y, &record);
-  enc.Backward(record, d_hidden);
-  for (const Param* p : params) append(p->grad);
+  Tensor d_cls;
+  d_cls.AssignTopRows(d_hidden, 1);
+  for (const std::vector<float>& v :
+       {RecordedClsAndGradients(enc, ids, mask, d_hidden),
+        RecordedClsAndGradients(enc, ids, mask, d_cls)}) {
+    out.insert(out.end(), v.begin(), v.end());
+  }
   return out;
 }
 
@@ -318,7 +339,8 @@ class EncoderSimdLevelTest : public ::testing::Test {
 // the detected one must give the same bits for every encoder output and
 // gradient, at lengths around the 8- and 4-lane column tails and with or
 // without a masked trailing key. The upstream gradient has exact zeros,
-// whole rows of them as scoring's [CLS]-only gradient does.
+// whole rows of them too. Its first row alone drives the one-row backward
+// that training runs, whose dK and dV products have inner dimension 1.
 TEST_F(EncoderSimdLevelTest, ForwardsAndGradientsMatchScalarBitForBit) {
   const size_t vocab = 50;
   for (const EncoderConfig& cfg :
@@ -357,6 +379,56 @@ TEST_F(EncoderSimdLevelTest, ForwardsAndGradientsMatchScalarBitForBit) {
       }
     }
   }
+}
+
+// ---- One-row training ----
+
+// Every training loss reads only [CLS], so a training step records and
+// back-propagates only that row of the last block. The rows it leaves out
+// would add only exact zeros to gradient sums that start from +0. So the
+// [CLS] output and every parameter gradient must keep the bits of a full
+// recorded forward whose upstream gradient is zero below [CLS]: at every
+// length, with or without a masked trailing key, with a d[CLS] that holds an
+// exact zero, and at both SIMD levels.
+TEST(EncoderRowsTest, ClsRowBackwardMatchesFullBackward) {
+  const size_t vocab = 50;
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (DetectedSimdLevel() != SimdLevel::kScalar) {
+    levels.push_back(DetectedSimdLevel());
+  }
+  for (const EncoderConfig& cfg :
+       {EncoderConfig::Base(vocab), EncoderConfig::Large(vocab),
+        EncoderConfig::SmallAblation(vocab)}) {
+    TransformerEncoder enc(cfg);
+    Rng rng(cfg.dim + cfg.num_layers);
+    for (size_t len = 1; len <= cfg.max_len; ++len) {
+      std::vector<int> ids(len);
+      for (int& id : ids) id = static_cast<int>(rng.NextBounded(vocab));
+      Tensor d_cls = Tensor::Randn(1, cfg.dim, 1.0f, rng);
+      d_cls.data()[rng.NextBounded(cfg.dim)] = 0.0f;
+      Tensor d_hidden(len, cfg.dim);
+      std::copy(d_cls.data(), d_cls.data() + cfg.dim, d_hidden.row_data(0));
+      for (const bool mask_last : {false, true}) {
+        std::vector<bool> mask(len, true);
+        mask.back() = !mask_last;
+        for (const SimdLevel level : levels) {
+          SCOPED_TRACE(::testing::Message()
+                       << "dim " << cfg.dim << " len " << len << " mask_last "
+                       << mask_last << " " << SimdLevelName(level));
+          SetSimdLevel(level);
+          const std::vector<float> want =
+              RecordedClsAndGradients(enc, ids, mask, d_hidden);
+          const std::vector<float> got =
+              RecordedClsAndGradients(enc, ids, mask, d_cls);
+          ASSERT_EQ(got.size(), want.size());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                sizeof(float) * want.size()),
+                    0);
+        }
+      }
+    }
+  }
+  SetSimdLevel(DetectedSimdLevel());
 }
 
 // GELU, its derivative and the attention softmax run the kernel table's
