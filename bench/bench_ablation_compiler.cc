@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
       {
         WallTimer t;
         DnfCompiler with;
-        auto circuit = with.CompileUnlimited(prov);
-        (void)ComputeShapleyExactUnlimited(prov);
+        auto circuit = with.Compile(prov).value();
+        (void)ComputeShapleyExact(prov).value();
         bucket.nodes_with += static_cast<double>(with.last_num_nodes());
         bucket.ms_with += t.ElapsedMillis();
       }
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
         if (prov.num_clauses() > 24) {
           bucket.timeouts_without += 1.0;
         } else {
-          auto circuit = without.CompileUnlimited(prov);
+          auto circuit = without.Compile(prov).value();
           bucket.nodes_without +=
               static_cast<double>(without.last_num_nodes());
         }

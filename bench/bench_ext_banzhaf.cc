@@ -38,10 +38,10 @@ int main(int argc, char** argv) {
       if (prov.Variables().size() < 3) continue;
 
       WallTimer t1;
-      const ShapleyValues shapley = ComputeShapleyExactUnlimited(prov);
+      const ShapleyValues shapley = ComputeShapleyExact(prov).value();
       shapley_ms += t1.ElapsedMillis();
       WallTimer t2;
-      const ShapleyValues banzhaf = ComputeBanzhafExactUnlimited(prov);
+      const ShapleyValues banzhaf = ComputeBanzhafExact(prov).value();
       banzhaf_ms += t2.ElapsedMillis();
 
       const auto rank_b = RankByScore(banzhaf);

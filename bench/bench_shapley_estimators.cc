@@ -59,7 +59,7 @@ std::vector<Case> CollectCases(const Workbench& wb, size_t max_cases) {
         continue;
       }
       cases.push_back({prov, std::move(strata),
-                       ComputeShapleyExactUnlimited(prov)});
+                       ComputeShapleyExact(prov).value()});
       if (cases.size() >= max_cases) return cases;
     }
   }
@@ -134,21 +134,19 @@ struct Quality {
 using EstimatorFn = ShapleyValues (*)(const Case&, size_t samples, Rng& rng);
 
 ShapleyValues RunPlainMc(const Case& c, size_t samples, Rng& rng) {
-  return ComputeShapleyMonteCarloUnlimited(c.prov, samples, rng);
+  return ComputeShapleyMonteCarlo(c.prov, samples, rng).value();
 }
 
 ShapleyValues RunStratProportional(const Case& c, size_t samples, Rng& rng) {
   StratifiedMcOptions opt;
   opt.pilot_permutations = 0;
-  return ComputeShapleyStratifiedUnlimited(c.prov, c.strata, samples, rng,
-                                           opt);
+  return ComputeShapleyStratified(c.prov, c.strata, samples, rng, opt).value();
 }
 
 ShapleyValues RunStratNeyman(const Case& c, size_t samples, Rng& rng) {
   StratifiedMcOptions opt;
   opt.pilot_permutations = samples / 4;
-  return ComputeShapleyStratifiedUnlimited(c.prov, c.strata, samples, rng,
-                                           opt);
+  return ComputeShapleyStratified(c.prov, c.strata, samples, rng, opt).value();
 }
 
 struct Arm {

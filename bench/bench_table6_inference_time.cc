@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
         if (it != eval_result->index.end()) {
           const Dnf& prov = eval_result->ProvenanceOf(it->second);
           WallTimer timer;
-          (void)ComputeShapleyExactUnlimited(prov);
+          (void)ComputeShapleyExact(prov).value();
           t_exact.push_back(timer.ElapsedMillis());
         }
       }

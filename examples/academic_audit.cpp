@@ -47,9 +47,10 @@ int main() {
   const size_t show = std::min<size_t>(3, result->tuples.size());
   for (size_t i = 0; i < show; ++i) {
     const Dnf& prov = result->ProvenanceOf(i);
-    const ShapleyValues exact = ComputeShapleyExactUnlimited(prov);
-    const ShapleyValues proxy = ComputeCnfProxyUnlimited(prov);
-    const ShapleyValues mc = ComputeShapleyMonteCarloUnlimited(prov, 4000, rng);
+    const ShapleyValues exact = ComputeShapleyExact(prov).value();
+    const ShapleyValues proxy = ComputeCnfProxy(prov).value();
+    const ShapleyValues mc =
+        ComputeShapleyMonteCarlo(prov, 4000, rng).value();
 
     std::printf("Answer %s  (lineage %zu facts)\n",
                 OutputTupleToString(result->tuples[i]).c_str(), exact.size());

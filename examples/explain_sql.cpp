@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
               result->tuples.size(), show);
   for (size_t i = 0; i < show; ++i) {
     const Dnf& prov = result->ProvenanceOf(i);
-    const ShapleyValues values = ComputeShapleyExactUnlimited(prov);
+    const ShapleyValues values = ComputeShapleyExact(prov).value();
     std::printf("%s   (%zu derivations, %zu lineage facts)\n",
                 OutputTupleToString(result->tuples[i]).c_str(),
                 prov.num_clauses(), values.size());

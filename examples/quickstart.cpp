@@ -74,7 +74,7 @@ int main() {
   const Dnf& prov = result->ProvenanceOf(alice);
   std::printf("\nProvenance of (Alice): %s\n", prov.ToString().c_str());
 
-  const ShapleyValues values = ComputeShapleyExactUnlimited(prov);
+  const ShapleyValues values = ComputeShapleyExact(prov).value();
   std::printf("\nFacts ranked by Shapley contribution to (Alice):\n");
   int rank = 1;
   for (FactId f : RankByScore(values)) {

@@ -1,31 +1,14 @@
 #include "common/budget.h"
 
+#include <cstring>
 #include <limits>
 
+#include "common/hash.h"
 #include "common/strings.h"
 
 namespace lshap {
 
 namespace {
-
-// splitmix64 finalizer — the same mixing primitive Rng seeds with; used to
-// derive a per-(seed, site, hit) coin for probabilistic fault arming.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashString(const char* s) {
-  // FNV-1a; stable across runs (site names are compile-time literals).
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (; *s != '\0'; ++s) {
-    h ^= static_cast<unsigned char>(*s);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 Status MakeFault(StatusCode code, const char* site) {
   const std::string msg = StrFormat("fault injected at site '%s'", site);
@@ -66,7 +49,10 @@ Status FaultInjector::OnSite(const char* site) {
     }
     return Status::Ok();
   }
-  const uint64_t coin = Mix64(seed_ ^ HashString(site) ^ (hit * 0x9e37ULL));
+  // A per-(seed, site, hit) coin; site names are compile-time literals, so
+  // it is stable across runs.
+  const uint64_t coin = MixWord(seed_ ^ FnvChecksum(site, std::strlen(site)) ^
+                                (hit * 0x9e37ULL));
   const double u =
       static_cast<double>(coin >> 11) * 0x1.0p-53;  // uniform in [0, 1)
   if (u < state.arming.probability) {

@@ -89,8 +89,8 @@ class FaultInjector {
 // returns the same error, so deep recursions can bail out level by level
 // without re-deriving the reason. The wall clock is only read every
 // kDeadlineCheckStride checks, keeping a Check on the hot path to a couple
-// of increments and compares; `Unlimited()` budgets short-circuit harder
-// (no counters to compare), which is what the infallible wrapper APIs use.
+// of increments and compares. The engines skip every poll of an
+// `unlimited()` budget, so passing `Unlimited()` behaves like passing none.
 class ExecutionBudget {
  public:
   struct Limits {

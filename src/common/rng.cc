@@ -3,25 +3,22 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/hash.h"
+
 namespace lshap {
 
 namespace {
-
-uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ull;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 void Rng::Seed(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& lane : s_) lane = SplitMix64(sm);
+  // The lanes are successive outputs of a SplitMix64 generator.
+  for (auto& lane : s_) {
+    lane = MixWord(seed);
+    seed += kSplitMixGamma;
+  }
   have_spare_gaussian_ = false;
 }
 

@@ -18,35 +18,37 @@ namespace lshap {
 
 namespace {
 
-// Per-job record of which ladder rung produced the ground truth (or that
-// the tuple was skipped / never processed) plus the budget-trip sites hit
-// along the way. Filled by worker threads (one slot per job, no sharing)
-// and folded into BuildStats serially after the wave, so the recorded
-// counts are deterministic regardless of thread interleaving.
+// Per-job record of which ladder rung produced the ground truth (null: the
+// tuple was never processed) plus the budget-trip sites hit along the way.
+// Filled by worker threads (one slot per job, no sharing) and folded into
+// the shard's RungCounts serially after the wave, so the recorded counts are
+// deterministic regardless of thread interleaving.
 struct LadderOutcome {
-  enum Rung : uint8_t {
-    kNotRun = 0,
-    kExact,
-    kStratified,
-    kMonteCarlo,
-    kCnfProxy,
-    kSkip
-  };
-  Rung rung = kNotRun;
+  size_t RungCounts::*rung = nullptr;
   std::vector<std::string> trip_sites;
 };
+
+// Adds `counts` to the registry's `<prefix>rung_*` counters.
+void MirrorRungCounts(MetricsRegistry* registry, const std::string& prefix,
+                      const RungCounts& counts) {
+  CounterFor(registry, prefix + "rung_exact").Inc(counts.exact);
+  CounterFor(registry, prefix + "rung_stratified").Inc(counts.stratified);
+  CounterFor(registry, prefix + "rung_monte_carlo").Inc(counts.monte_carlo);
+  CounterFor(registry, prefix + "rung_cnf_proxy").Inc(counts.cnf_proxy);
+  CounterFor(registry, prefix + "rung_skipped").Inc(counts.skipped);
+}
 
 }  // namespace
 
 // BuildCorpus's metric handles — the registry-backed successor of the
 // ad-hoc BuildStats counters. BuildStats stays (it is serialized with the
-// corpus and printed by the benches); the fold loop mirrors every count
-// into these handles so one --metrics-json snapshot carries the rung
-// transitions alongside the evaluator and trainer sections.
+// corpus and printed by the benches); the build mirrors its rung counts
+// into the registry too (MirrorRungCounts), so one --metrics-json snapshot
+// carries the rung transitions alongside the evaluator and trainer
+// sections.
 struct CorpusMetricSet {
   Counter queries_generated, queries_kept, tuples_prefiltered, jobs,
-      rung_exact, rung_stratified, rung_monte_carlo, rung_cnf_proxy,
-      rung_skipped, budget_trips;
+      budget_trips;
   Histogram lineage_facts, circuit_nodes;
   Gauge wall_seconds;
 
@@ -56,11 +58,6 @@ struct CorpusMetricSet {
         queries_kept(CounterFor(r, "corpus.queries_kept")),
         tuples_prefiltered(CounterFor(r, "corpus.tuples_prefiltered")),
         jobs(CounterFor(r, "corpus.ground_truth_jobs")),
-        rung_exact(CounterFor(r, "corpus.rung_exact")),
-        rung_stratified(CounterFor(r, "corpus.rung_stratified")),
-        rung_monte_carlo(CounterFor(r, "corpus.rung_monte_carlo")),
-        rung_cnf_proxy(CounterFor(r, "corpus.rung_cnf_proxy")),
-        rung_skipped(CounterFor(r, "corpus.rung_skipped")),
         budget_trips(CounterFor(r, "corpus.budget_trips")),
         lineage_facts(HistogramFor(r, "corpus.lineage_facts",
                                    ExponentialBuckets(1.0, 2.0, 10))),
@@ -229,92 +226,83 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
       if (has_build_deadline && Clock::now() >= build_deadline) {
         return Status::ResourceExhausted("corpus build deadline exceeded");
       }
-
-      // Rung 1: exact circuit Shapley under the full per-tuple budget.
-      {
-        ExecutionBudget budget(
-            {config.tuple_deadline_seconds, config.max_circuit_nodes},
-            &shard_cancel, config.fault_injector);
-        Result<ShapleyValues> exact = ComputeShapleyExact(*job.prov, budget);
-        if (exact.ok()) {
-          dest = std::move(exact).value();
-          outcome.rung = LadderOutcome::kExact;
-          // Charge accounting runs even on an unlimited budget, so after a
-          // successful exact rung the charged units are (almost exactly)
-          // the compiled circuit's node count.
-          metrics.circuit_nodes.Observe(
-              static_cast<double>(budget.charged_units()));
-          return Status::Ok();
+      // Runs one rung under a fresh per-tuple budget. Its values land in
+      // `dest`, and the outcome records the rung or the trip site. Returns
+      // true once the ladder is done: the rung succeeded, or the wave was
+      // cancelled (`stop` then holds the kCancelled status).
+      Status stop;
+      const auto rung = [&](size_t RungCounts::*which, uint64_t max_units,
+                            const auto& compute) {
+        ExecutionBudget budget({config.tuple_deadline_seconds, max_units},
+                               &shard_cancel, config.fault_injector);
+        Result<ShapleyValues> values = compute(&budget);
+        if (values.ok()) {
+          dest = std::move(values).value();
+          outcome.rung = which;
+          return true;
         }
         outcome.trip_sites.push_back(budget.trip_site());
-        if (exact.status().code() == StatusCode::kCancelled) {
-          return exact.status();
-        }
+        if (values.status().code() != StatusCode::kCancelled) return false;
+        stop = values.status();
+        return true;
+      };
+
+      // Rung 1: exact circuit Shapley under the full per-tuple budget.
+      if (rung(&RungCounts::exact, config.max_circuit_nodes,
+               [&](ExecutionBudget* budget) {
+                 Result<ShapleyValues> exact =
+                     ComputeShapleyExact(*job.prov, budget);
+                 // Charge accounting runs even without a unit cap, so after
+                 // a successful exact rung the charged units are (almost
+                 // exactly) the compiled circuit's node count.
+                 if (exact.ok()) {
+                   metrics.circuit_nodes.Observe(
+                       static_cast<double>(budget->charged_units()));
+                 }
+                 return exact;
+               })) {
+        return stop;
       }
-      // Rung 2 (opt-in): relation-stratified MC estimate with a fresh
-      // deadline. Strata come from each lineage fact's source table; the
-      // rng is seeded per global job index (with a mix constant distinct
-      // from the plain-MC rung's) so the result is deterministic
-      // regardless of thread or shard assignment.
+      // Rung 2 (opt-in): relation-stratified MC estimate. Strata come from
+      // each lineage fact's source table; the rng is seeded per global job
+      // index (with a mix constant distinct from the plain-MC rung's) so
+      // the result is deterministic regardless of thread or shard
+      // assignment.
       if (config.stratified_fallback_samples > 0) {
         const std::vector<FactId> lineage = job.prov->Variables();
         std::vector<uint32_t> strata(lineage.size());
         for (size_t i = 0; i < lineage.size(); ++i) {
           strata[i] = db.FactTableIndex(lineage[i]);
         }
-        ExecutionBudget budget({config.tuple_deadline_seconds, 0},
-                               &shard_cancel, config.fault_injector);
-        Rng strat_rng(config.seed ^
-                      (0xda942042e4dd58b5ULL * (job.global + 1)));
-        Result<ShapleyValues> strat = ComputeShapleyStratified(
-            *job.prov, strata, config.stratified_fallback_samples,
-            strat_rng, budget);
-        if (strat.ok()) {
-          dest = std::move(strat).value();
-          outcome.rung = LadderOutcome::kStratified;
-          return Status::Ok();
-        }
-        outcome.trip_sites.push_back(budget.trip_site());
-        if (strat.status().code() == StatusCode::kCancelled) {
-          return strat.status();
+        if (rung(&RungCounts::stratified, 0, [&](ExecutionBudget* budget) {
+              Rng strat_rng(config.seed ^
+                            (0xda942042e4dd58b5ULL * (job.global + 1)));
+              return ComputeShapleyStratified(
+                  *job.prov, strata, config.stratified_fallback_samples,
+                  strat_rng, {}, budget);
+            })) {
+          return stop;
         }
       }
-      // Rung 3: plain Monte-Carlo estimate with a fixed sample budget and
-      // a fresh deadline. Seeded per global job index so the fallback is
-      // deterministic regardless of thread or shard assignment.
-      {
-        ExecutionBudget budget({config.tuple_deadline_seconds, 0},
-                               &shard_cancel, config.fault_injector);
-        Rng mc_rng(config.seed ^
-                   (0x9e3779b97f4a7c15ULL * (job.global + 1)));
-        Result<ShapleyValues> mc = ComputeShapleyMonteCarlo(
-            *job.prov, config.mc_fallback_samples, mc_rng, budget);
-        if (mc.ok()) {
-          dest = std::move(mc).value();
-          outcome.rung = LadderOutcome::kMonteCarlo;
-          return Status::Ok();
-        }
-        outcome.trip_sites.push_back(budget.trip_site());
-        if (mc.status().code() == StatusCode::kCancelled) return mc.status();
+      // Rung 3: plain Monte-Carlo estimate with a fixed sample budget,
+      // seeded per global job index like rung 2.
+      if (rung(&RungCounts::monte_carlo, 0, [&](ExecutionBudget* budget) {
+            Rng mc_rng(config.seed ^
+                       (0x9e3779b97f4a7c15ULL * (job.global + 1)));
+            return ComputeShapleyMonteCarlo(
+                *job.prov, config.mc_fallback_samples, mc_rng, budget);
+          })) {
+        return stop;
       }
       // Rung 4: CNF-proxy ranking scores (polynomial closed form).
-      {
-        ExecutionBudget budget({config.tuple_deadline_seconds, 0},
-                               &shard_cancel, config.fault_injector);
-        Result<ShapleyValues> proxy = ComputeCnfProxy(*job.prov, budget);
-        if (proxy.ok()) {
-          dest = std::move(proxy).value();
-          outcome.rung = LadderOutcome::kCnfProxy;
-          return Status::Ok();
-        }
-        outcome.trip_sites.push_back(budget.trip_site());
-        if (proxy.status().code() == StatusCode::kCancelled) {
-          return proxy.status();
-        }
+      if (rung(&RungCounts::cnf_proxy, 0, [&](ExecutionBudget* budget) {
+            return ComputeCnfProxy(*job.prov, budget);
+          })) {
+        return stop;
       }
       // Rung 5: skip. The tuple is dropped below with a stats record; the
       // wave itself keeps going.
-      outcome.rung = LadderOutcome::kSkip;
+      outcome.rung = &RungCounts::skipped;
       return Status::Ok();
     };
     metrics.jobs.Inc(jobs.size());
@@ -330,27 +318,12 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
     // (deterministic counts), then drop the contributions that got no
     // ground truth.
     for (const LadderOutcome& outcome : outcomes) {
-      switch (outcome.rung) {
-        case LadderOutcome::kExact:
-          ++sstats.exact;
-          break;
-        case LadderOutcome::kStratified:
-          ++sstats.stratified;
-          break;
-        case LadderOutcome::kMonteCarlo:
-          ++sstats.monte_carlo;
-          break;
-        case LadderOutcome::kCnfProxy:
-          ++sstats.cnf_proxy;
-          break;
-        case LadderOutcome::kSkip:
-          ++sstats.skipped;
-          break;
-        case LadderOutcome::kNotRun:
-          // Build cancelled (or deadline hit) before this tuple ran.
-          ++sstats.skipped;
-          ++sstats.budget_trips[kSiteCorpusBuildDeadline];
-          break;
+      if (outcome.rung != nullptr) {
+        ++(sstats.*outcome.rung);
+      } else {
+        // Build cancelled (or deadline hit) before this tuple ran.
+        ++sstats.skipped;
+        ++sstats.budget_trips[kSiteCorpusBuildDeadline];
       }
       for (const std::string& site : outcome.trip_sites) {
         ++sstats.budget_trips[site];
@@ -379,11 +352,7 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
     // Merge this shard into the totals — in shard order, on the driver
     // thread, never under a mutex in completion order — so the merged
     // counts are deterministic at any thread count.
-    stats.exact += sstats.exact;
-    stats.stratified += sstats.stratified;
-    stats.monte_carlo += sstats.monte_carlo;
-    stats.cnf_proxy += sstats.cnf_proxy;
-    stats.skipped += sstats.skipped;
+    stats += sstats;
     for (const auto& [site, n] : sstats.budget_trips) {
       stats.budget_trips[site] += n;
     }
@@ -391,15 +360,7 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
       // Per-shard rung counters, opt-in like every corpus.* metric.
       const std::string prefix = StrFormat("corpus.shard%03zu.", s);
       CounterFor(config.metrics, prefix + "entries").Inc(sstats.entries);
-      CounterFor(config.metrics, prefix + "rung_exact").Inc(sstats.exact);
-      CounterFor(config.metrics, prefix + "rung_stratified")
-          .Inc(sstats.stratified);
-      CounterFor(config.metrics, prefix + "rung_monte_carlo")
-          .Inc(sstats.monte_carlo);
-      CounterFor(config.metrics, prefix + "rung_cnf_proxy")
-          .Inc(sstats.cnf_proxy);
-      CounterFor(config.metrics, prefix + "rung_skipped")
-          .Inc(sstats.skipped);
+      MirrorRungCounts(config.metrics, prefix, sstats);
     }
     stats.per_shard.push_back(sstats);
     sink(std::move(shard));
@@ -429,11 +390,7 @@ BuildStats RunShardedBuild(const Database& db, const SchemaGraph& graph,
   stats.wall_seconds = build_timer.ElapsedSeconds();
   // Mirror the merged BuildStats into the registry (rung counts are
   // deterministic; see the shard-order merge above).
-  metrics.rung_exact.Inc(stats.exact);
-  metrics.rung_stratified.Inc(stats.stratified);
-  metrics.rung_monte_carlo.Inc(stats.monte_carlo);
-  metrics.rung_cnf_proxy.Inc(stats.cnf_proxy);
-  metrics.rung_skipped.Inc(stats.skipped);
+  MirrorRungCounts(config.metrics, "corpus.", stats);
   for (const auto& [site, n] : stats.budget_trips) {
     metrics.budget_trips.Inc(n);
   }

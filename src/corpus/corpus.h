@@ -32,36 +32,16 @@ struct CorpusEntry {
 inline constexpr char kSiteCorpusPrefilter[] = "corpus.prefilter";
 inline constexpr char kSiteCorpusBuildDeadline[] = "corpus.build_deadline";
 
-// What one shard's worker did during a sharded build: its slice of the
-// query log, the rung each of its sampled tuples landed on, and the budget
-// trips it recorded. Shard stats merge associatively in shard order into
-// the whole-build BuildStats, so the merged totals are identical for any
-// shard count.
-struct ShardBuildStats {
-  uint32_t shard_index = 0;
-  size_t entries = 0;      // corpus entries this shard contributed
-  size_t exact = 0;
-  size_t stratified = 0;
-  size_t monte_carlo = 0;
-  size_t cnf_proxy = 0;
-  size_t skipped = 0;
-  double wall_seconds = 0.0;  // this shard's ladder wall time
-  std::map<std::string, size_t> budget_trips;
-
-  size_t attempted() const {
-    return exact + stratified + monte_carlo + cnf_proxy + skipped;
-  }
-};
-
-// What the graceful-degradation ladder did during one BuildCorpus run. Each
-// sampled output tuple lands on exactly one rung:
+// How many sampled output tuples landed on each rung of the ground-truth
+// degradation ladder:
 //   exact -> stratified -> monte_carlo -> cnf_proxy -> skipped
 // (the stratified rung only exists when stratified_fallback_samples > 0;
-// the historical ladder goes straight from exact to monte_carlo). The
-// invariant `exact + stratified + monte_carlo + cnf_proxy + skipped ==
-// attempted()` means no tuple is ever silently lost: a tuple without
-// ground truth always leaves a skip record with a trip site explaining why.
-struct BuildStats {
+// the historical ladder goes straight from exact to monte_carlo). Each
+// sampled tuple lands on exactly one rung, so `attempted()` counts every
+// tuple and none is ever silently lost: a tuple without ground truth always
+// leaves a skip record with a trip site explaining why. The build, each
+// shard and each shard file's footer carry these counts.
+struct RungCounts {
   size_t exact = 0;        // rung 1: exact circuit Shapley
   size_t stratified = 0;   // rung 2: relation-stratified MC (opt-in)
   size_t monte_carlo = 0;  // rung 3: permutation-sampling estimate
@@ -70,6 +50,34 @@ struct BuildStats {
   // computing rung tripped its budget, or the build was cancelled before
   // the tuple was processed.
   size_t skipped = 0;
+
+  size_t attempted() const {
+    return exact + stratified + monte_carlo + cnf_proxy + skipped;
+  }
+  RungCounts& operator+=(const RungCounts& other) {
+    exact += other.exact;
+    stratified += other.stratified;
+    monte_carlo += other.monte_carlo;
+    cnf_proxy += other.cnf_proxy;
+    skipped += other.skipped;
+    return *this;
+  }
+};
+
+// What one shard's worker did during a sharded build: its slice of the
+// query log, the rung each of its sampled tuples landed on, and the budget
+// trips it recorded. Shard stats merge associatively in shard order into
+// the whole-build BuildStats, so the merged totals are identical for any
+// shard count.
+struct ShardBuildStats : RungCounts {
+  uint32_t shard_index = 0;
+  size_t entries = 0;         // corpus entries this shard contributed
+  double wall_seconds = 0.0;  // this shard's ladder wall time
+  std::map<std::string, size_t> budget_trips;
+};
+
+// What the graceful-degradation ladder did during one BuildCorpus run.
+struct BuildStats : RungCounts {
   double wall_seconds = 0.0;  // whole-build wall time
   // Budget-trip occurrences keyed by check site (ExecutionBudget trip sites
   // plus the synthetic corpus.* sites above). Merged from the per-shard
@@ -79,10 +87,6 @@ struct BuildStats {
   // Per-shard breakdown, one slot per shard in shard order. Size equals the
   // build's num_shards (a single slot for the historical K=1 build).
   std::vector<ShardBuildStats> per_shard;
-
-  size_t attempted() const {
-    return exact + stratified + monte_carlo + cnf_proxy + skipped;
-  }
 };
 
 // A DBShap-style corpus over one database: query log with ground truth and

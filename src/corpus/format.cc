@@ -13,9 +13,6 @@ namespace lshap {
 
 namespace {
 
-inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
 // The manifest header and every shard footer carry one Shapley
 // payload-encoding byte. Only f64 (0) exists; a reader rejects any other
 // value as an unknown encoding.
@@ -122,6 +119,24 @@ Result<OutputTuple> DecodeTuple(ByteReader& r) {
   return t;
 }
 
+// The five rung counts, in their on-disk order (the stratified count was
+// appended last, with the format's version 02).
+void PutRungCounts(std::string& out, const RungCounts& c) {
+  PutVarint(out, c.exact);
+  PutVarint(out, c.monte_carlo);
+  PutVarint(out, c.cnf_proxy);
+  PutVarint(out, c.skipped);
+  PutVarint(out, c.stratified);
+}
+
+void ReadRungCounts(ByteReader& r, RungCounts& c) {
+  c.exact = static_cast<size_t>(r.Varint());
+  c.monte_carlo = static_cast<size_t>(r.Varint());
+  c.cnf_proxy = static_cast<size_t>(r.Varint());
+  c.skipped = static_cast<size_t>(r.Varint());
+  c.stratified = static_cast<size_t>(r.Varint());
+}
+
 void PutStatsMap(std::string& out,
                  const std::map<std::string, size_t>& trips) {
   PutVarint(out, trips.size());
@@ -217,16 +232,6 @@ std::string_view ByteReader::Bytes(size_t n) {
   std::string_view out(data_ + pos_, n);
   pos_ += n;
   return out;
-}
-
-uint64_t FnvChecksum(const char* data, size_t n) {
-  uint64_t h = kFnvOffset;
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
 }
 
 void EncodeCorpusEntry(const CorpusEntry& entry, std::string& out) {
@@ -329,11 +334,7 @@ struct ShardWriter::Impl {
 
   void WriteHashed(const char* data, size_t n) {
     out.write(data, static_cast<std::streamsize>(n));
-    const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      hash ^= p[i];
-      hash *= kFnvPrime;
-    }
+    hash = FnvUpdate(hash, data, n);
   }
 };
 
@@ -381,7 +382,7 @@ Status ShardWriter::Append(const CorpusEntry& entry) {
   return Status::Ok();
 }
 
-Status ShardWriter::Finish(const ShardBuildStats* stats) {
+Status ShardWriter::Finish(const RungCounts* rungs) {
   if (impl_->failed) {
     return Status::Internal("cannot open '" + impl_->path + "' for write");
   }
@@ -399,11 +400,7 @@ Status ShardWriter::Finish(const ShardBuildStats* stats) {
     PutVarint(footer, offsets_[i] - (i == 0 ? 0 : prev));
     prev = offsets_[i];
   }
-  PutVarint(footer, stats ? stats->exact : 0);
-  PutVarint(footer, stats ? stats->monte_carlo : 0);
-  PutVarint(footer, stats ? stats->cnf_proxy : 0);
-  PutVarint(footer, stats ? stats->skipped : 0);
-  PutVarint(footer, stats ? stats->stratified : 0);
+  PutRungCounts(footer, rungs != nullptr ? *rungs : RungCounts{});
   // Checksum covers [0, footer_offset): the record region the offsets
   // point into. The footer guards itself with the trailer structure.
   PutFixed64(footer, impl_->hash);
@@ -494,11 +491,7 @@ Result<ShardReader> ShardReader::Open(const std::string& path,
     }
     f.record_offsets.push_back(acc);
   }
-  f.exact = static_cast<size_t>(r.Varint());
-  f.monte_carlo = static_cast<size_t>(r.Varint());
-  f.cnf_proxy = static_cast<size_t>(r.Varint());
-  f.skipped = static_cast<size_t>(r.Varint());
-  f.stratified = static_cast<size_t>(r.Varint());
+  ReadRungCounts(r, f.rungs);
   f.checksum = r.Fixed64();
   if (!r.ok()) return bad("truncated footer");
 
@@ -567,11 +560,7 @@ namespace {
 void PutShardStats(std::string& out, const ShardBuildStats& s) {
   PutVarint(out, s.shard_index);
   PutVarint(out, s.entries);
-  PutVarint(out, s.exact);
-  PutVarint(out, s.monte_carlo);
-  PutVarint(out, s.cnf_proxy);
-  PutVarint(out, s.skipped);
-  PutVarint(out, s.stratified);
+  PutRungCounts(out, s);
   PutFixed64(out, DoubleBits(s.wall_seconds));
   PutStatsMap(out, s.budget_trips);
 }
@@ -580,11 +569,7 @@ Result<ShardBuildStats> ReadShardStats(ByteReader& r) {
   ShardBuildStats s;
   s.shard_index = static_cast<uint32_t>(r.Varint());
   s.entries = static_cast<size_t>(r.Varint());
-  s.exact = static_cast<size_t>(r.Varint());
-  s.monte_carlo = static_cast<size_t>(r.Varint());
-  s.cnf_proxy = static_cast<size_t>(r.Varint());
-  s.skipped = static_cast<size_t>(r.Varint());
-  s.stratified = static_cast<size_t>(r.Varint());
+  ReadRungCounts(r, s);
   s.wall_seconds = BitsToDouble(r.Fixed64());
   auto trips = ReadStatsMap(r);
   if (!trips.ok()) return trips.status();
@@ -614,11 +599,7 @@ Status WriteManifest(const CorpusManifest& manifest,
     for (size_t i : *idx) PutVarint(out, i);
   }
   const BuildStats& st = manifest.stats;
-  PutVarint(out, st.exact);
-  PutVarint(out, st.monte_carlo);
-  PutVarint(out, st.cnf_proxy);
-  PutVarint(out, st.skipped);
-  PutVarint(out, st.stratified);
+  PutRungCounts(out, st);
   PutFixed64(out, DoubleBits(st.wall_seconds));
   PutStatsMap(out, st.budget_trips);
   PutVarint(out, st.per_shard.size());
@@ -684,11 +665,7 @@ Result<CorpusManifest> ReadManifest(const std::string& path) {
     *idx = std::move(*v);
   }
   BuildStats& st = m.stats;
-  st.exact = static_cast<size_t>(r.Varint());
-  st.monte_carlo = static_cast<size_t>(r.Varint());
-  st.cnf_proxy = static_cast<size_t>(r.Varint());
-  st.skipped = static_cast<size_t>(r.Varint());
-  st.stratified = static_cast<size_t>(r.Varint());
+  ReadRungCounts(r, st);
   st.wall_seconds = BitsToDouble(r.Fixed64());
   auto trips = ReadStatsMap(r);
   if (!trips.ok()) return bad(trips.status().message());

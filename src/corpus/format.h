@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/budget.h"
+#include "common/hash.h"
 #include "common/status.h"
 #include "corpus/corpus.h"
 
@@ -97,9 +98,6 @@ class ByteReader {
   bool ok_ = true;
 };
 
-// FNV-1a over a byte range (the checksum primitive of both file kinds).
-uint64_t FnvChecksum(const char* data, size_t n);
-
 // --- Record codec. ---
 
 // Appends one packed record for `entry` to `out`.
@@ -127,13 +125,9 @@ struct ShardFooter {
   uint32_t shard_index = 0;
   uint64_t base_entry = 0;  // global index of the shard's first entry
   std::vector<uint64_t> record_offsets;  // absolute, one per record
-  // Per-rung BuildStats breakdown for the shard (zero when the shard was
-  // written by a plain re-save that has no per-shard provenance).
-  size_t exact = 0;
-  size_t stratified = 0;
-  size_t monte_carlo = 0;
-  size_t cnf_proxy = 0;
-  size_t skipped = 0;
+  // The shard's rung counts (zero when the shard was written by a plain
+  // re-save that has no per-shard provenance).
+  RungCounts rungs;
   uint64_t checksum = 0;  // FNV-1a of bytes [0, footer_offset)
 };
 
@@ -154,9 +148,9 @@ class ShardWriter {
 
   Status Append(const CorpusEntry& entry);
 
-  // Writes the footer (embedding `stats`' rung counts when non-null) and
-  // closes the file. Must be the last call.
-  Status Finish(const ShardBuildStats* stats = nullptr);
+  // Writes the footer (embedding `rungs` when non-null) and closes the
+  // file. Must be the last call.
+  Status Finish(const RungCounts* rungs = nullptr);
 
   size_t num_records() const { return offsets_.size(); }
   uint64_t bytes_written() const { return bytes_; }

@@ -6,8 +6,8 @@
 #include <sstream>
 
 #include "common/fileio.h"
+#include "common/hash.h"
 #include "common/strings.h"
-#include "corpus/format.h"
 
 namespace lshap {
 

@@ -217,7 +217,8 @@ std::vector<std::pair<FactId, double>> SortedLineage(
 // token streams plus the similarity matrices, which are indexed by global
 // entry index, so it never touches a shard. Restores the best-dev-MSE
 // checkpoint into `model` and returns that MSE. With no dev pairs (an empty
-// dev or train split) it keeps the last epoch and returns 0.
+// dev or train split) it keeps the last epoch, and with no epoch the initial
+// weights; both return 0.
 double PretrainOnSims(const std::vector<size_t>& train,
                       const std::vector<size_t>& dev_idx,
                       const std::vector<std::vector<std::string>>& query_tokens,
@@ -299,7 +300,7 @@ double PretrainOnSims(const std::vector<size_t>& train,
       best_weights = model.SnapshotWeights();
     }
   }
-  if (dev_pairs.empty()) return 0.0;
+  if (dev_pairs.empty() || config.pretrain_epochs == 0) return 0.0;
   model.RestoreWeights(best_weights);
   return best_mse;
 }
@@ -426,7 +427,8 @@ Result<TrainResult> TrainLearnShapleyStream(const CorpusStream& stream,
   }());
 
   // An empty dev split scores nothing, so no epoch could beat the first:
-  // skip the dev pass and keep the last epoch instead.
+  // skip the dev pass and keep the last epoch instead. With no epoch there
+  // is nothing to select.
   const bool has_dev = !stream.dev_idx().empty();
   double best_ndcg = -1.0;
   std::vector<Tensor> best_weights = model.SnapshotWeights();
@@ -512,7 +514,7 @@ Result<TrainResult> TrainLearnShapleyStream(const CorpusStream& stream,
       best_weights = model.SnapshotWeights();
     }
   }
-  if (has_dev) {
+  if (has_dev && config.finetune_epochs > 0) {
     model.RestoreWeights(best_weights);
     result.best_dev_ndcg10 = best_ndcg;
   }

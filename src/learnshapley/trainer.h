@@ -117,7 +117,8 @@ struct TrainConfig {
 
 // Each stage keeps the epoch that scores best on the dev split. With an
 // empty dev split no dev pass runs: each stage keeps its last epoch, and
-// pretrain_dev_mse and best_dev_ndcg10 read 0.
+// pretrain_dev_mse and best_dev_ndcg10 read 0. A stage that runs no epoch
+// keeps its initial weights and reads 0 too.
 struct TrainResult {
   std::unique_ptr<LearnShapleyRanker> ranker;
   double pretrain_dev_mse = 0.0;   // of the selected pre-train checkpoint

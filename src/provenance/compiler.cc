@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/check.h"
-
 namespace lshap {
 
 struct DnfCompiler::Ctx {
@@ -16,19 +14,12 @@ struct DnfCompiler::Ctx {
   Status error;
 };
 
-std::unique_ptr<Circuit> DnfCompiler::CompileUnlimited(const Dnf& dnf) {
-  ExecutionBudget unlimited = ExecutionBudget::Unlimited();
-  Result<std::unique_ptr<Circuit>> result = Compile(dnf, unlimited);
-  // An unlimited budget cannot trip.
-  LSHAP_CHECK(result.ok());
-  return std::move(result).value();
-}
-
 Result<std::unique_ptr<Circuit>> DnfCompiler::Compile(
-    const Dnf& dnf, ExecutionBudget& budget) {
+    const Dnf& dnf, ExecutionBudget* budget) {
   auto circuit = std::make_unique<Circuit>();
   Ctx ctx;
-  ctx.budget = budget.unlimited() ? nullptr : &budget;
+  // An unlimited budget can never trip: skip its polls.
+  if (budget != nullptr && !budget->unlimited()) ctx.budget = budget;
   Dnf normalized = dnf;
   normalized.Absorb();
   const NodeId root = CompileRec(normalized, *circuit, ctx);

@@ -32,18 +32,20 @@ class DnfCompiler {
   explicit DnfCompiler(const CompilerOptions& options) : options_(options) {}
 
   // Compiles `dnf` (absorption is applied internally) and returns the
-  // circuit with its root set. The circuit is owned by the caller. The
-  // budget is polled at every Shannon-expansion step and charged one work
-  // unit per circuit node created, so a node budget bounds peak memory and
-  // a deadline bounds wall time. On a trip the partial circuit is discarded
-  // and kResourceExhausted / kCancelled is returned.
+  // circuit with its root set. The circuit is owned by the caller. A budget
+  // is polled at every Shannon-expansion step and charged one work unit per
+  // circuit node created, so a node budget bounds peak memory and a
+  // deadline bounds wall time. On a trip the partial circuit is discarded
+  // and kResourceExhausted / kCancelled is returned. With no budget the
+  // call cannot fail, but compilation is exponential in the worst case
+  // (PP-hard in general) and can run away on dense multi-hub provenance,
+  // so budget untrusted input (DESIGN.md §9.4).
   Result<std::unique_ptr<Circuit>> Compile(const Dnf& dnf,
-                                           ExecutionBudget& budget);
-
-  // Unlimited-budget form (DESIGN.md §9.4). Compilation is exponential in
-  // the worst case (PP-hard in general); this can run away on dense
-  // multi-hub provenance, so budget untrusted input via Compile.
-  std::unique_ptr<Circuit> CompileUnlimited(const Dnf& dnf);
+                                           ExecutionBudget* budget = nullptr);
+  // Compile(dnf).value(), under the name the benchmark harness calls.
+  std::unique_ptr<Circuit> CompileUnlimited(const Dnf& dnf) {
+    return Compile(dnf).value();
+  }
 
   // Statistics of the last compilation (also populated for a failed
   // budgeted compile, describing the partial circuit at the trip point).

@@ -1,6 +1,7 @@
 #include "relational/database.h"
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/strings.h"
 
 namespace lshap {
@@ -160,23 +161,13 @@ std::string Database::FactToString(FactId id) const {
 
 namespace {
 
-inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t FnvBytes(uint64_t h, const void* data, size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
+uint64_t FnvWord(uint64_t h, uint64_t w) {
+  return FnvUpdate(h, &w, sizeof(w));
 }
-
-uint64_t FnvWord(uint64_t h, uint64_t w) { return FnvBytes(h, &w, sizeof(w)); }
 
 uint64_t FnvString(uint64_t h, std::string_view s) {
   h = FnvWord(h, s.size());
-  return FnvBytes(h, s.data(), s.size());
+  return FnvUpdate(h, s.data(), s.size());
 }
 
 }  // namespace
@@ -195,12 +186,12 @@ uint64_t FactTableFingerprint(const Database& db) {
       h = FnvWord(h, static_cast<uint64_t>(col.type()));
       switch (col.type()) {
         case ColumnType::kInt:
-          h = FnvBytes(h, col.ints().data(),
-                       col.ints().size() * sizeof(int64_t));
+          h = FnvUpdate(h, col.ints().data(),
+                        col.ints().size() * sizeof(int64_t));
           break;
         case ColumnType::kDouble:
-          h = FnvBytes(h, col.doubles().data(),
-                       col.doubles().size() * sizeof(double));
+          h = FnvUpdate(h, col.doubles().data(),
+                        col.doubles().size() * sizeof(double));
           break;
         case ColumnType::kString:
           // Hash string contents, not interned ids: two independently built
@@ -231,8 +222,8 @@ uint64_t FactTableFingerprint(const Database& db) {
       // last word are canonically zero, so this is a stable byte image.
       if (col.has_nulls()) {
         h = FnvWord(h, col.null_count());
-        h = FnvBytes(h, col.validity_words().data(),
-                     col.validity_words().size() * sizeof(uint64_t));
+        h = FnvUpdate(h, col.validity_words().data(),
+                      col.validity_words().size() * sizeof(uint64_t));
       }
     }
   }

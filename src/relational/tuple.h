@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "relational/value.h"
 
 namespace lshap {
@@ -15,14 +16,6 @@ namespace lshap {
 // inside the evaluator, tuples live as EncodedTuples (below) and only
 // distinct tuples are materialized as Values.
 using OutputTuple = std::vector<Value>;
-
-// splitmix64 finalizer — full-avalanche mix of one 64-bit word.
-inline uint64_t MixWord(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 struct OutputTupleHash {
   size_t operator()(const OutputTuple& t) const {

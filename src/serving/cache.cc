@@ -3,21 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/hash.h"
+
 namespace lshap {
-
-namespace {
-
-// FNV-1a — stable shard routing independent of std::hash.
-uint64_t HashKey(const std::string& key) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 RankingCache::RankingCache(size_t capacity, size_t num_shards) {
   if (num_shards == 0) num_shards = 1;
@@ -41,7 +29,7 @@ std::string RankingCache::Key(uint64_t db_fingerprint, const Query& q,
 }
 
 RankingCache::Shard& RankingCache::ShardFor(const std::string& key) {
-  return shards_[HashKey(key) % shards_.size()];
+  return shards_[FnvChecksum(key.data(), key.size()) % shards_.size()];
 }
 
 bool RankingCache::Get(const std::string& key, CachedRanking* out) {

@@ -4,6 +4,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "eval/evaluator.h"
@@ -20,17 +21,6 @@ std::chrono::steady_clock::duration ToDuration(double seconds) {
 
 double Seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
-}
-
-// FNV-1a over a string: the query-identity component of the stratified
-// rung's deterministic per-request seed.
-uint64_t FnvOf(const std::string& s) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 RankedTuple MakeRanked(const OutputTuple& t, const ShapleyValues& scores) {
@@ -464,10 +454,12 @@ RankResponse RankingService::Process(Pending& pending,
         for (size_t j = 0; j < lineage.size(); ++j) {
           strata[j] = snapshot.db->FactTableIndex(lineage[j]);
         }
-        Rng rng(snapshot.db_fingerprint ^ FnvOf(request.query.id) ^
+        Rng rng(snapshot.db_fingerprint ^
+                FnvChecksum(request.query.id.data(),
+                            request.query.id.size()) ^
                 (0xda942042e4dd58b5ULL * (i + 1)));
         auto scores = ComputeShapleyStratified(
-            prov, strata, config_.stratified_samples, rng, budget);
+            prov, strata, config_.stratified_samples, rng, {}, &budget);
         if (!scores.ok()) {
           scored_all = false;  // budget tripped mid-estimate: degrade
           break;
@@ -507,7 +499,7 @@ RankResponse RankingService::Process(Pending& pending,
       for (size_t i : *tgt) {
         results.push_back(
             MakeRanked(eval->tuples[i],
-                       ComputeCnfProxyUnlimited(eval->ProvenanceOf(i))));
+                       ComputeCnfProxy(eval->ProvenanceOf(i)).value()));
       }
       response.rung = ServeRung::kCnfProxy;
       response.results = std::move(results);

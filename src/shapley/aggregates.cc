@@ -14,7 +14,7 @@ AggregateAttribution Attribute(const EvalResult& result, ThreadPool& pool,
   AggregateAttribution out;
   std::vector<ShapleyValues> per_tuple(result.tuples.size());
   ParallelFor(pool, result.tuples.size(), [&](size_t i) {
-    per_tuple[i] = ComputeShapleyExactUnlimited(result.provenance[i]);
+    per_tuple[i] = ComputeShapleyExact(result.provenance[i]).value();
   });
   for (size_t i = 0; i < result.tuples.size(); ++i) {
     const double w = weight_fn(i);

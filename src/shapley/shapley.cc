@@ -6,7 +6,6 @@
 #include <map>
 #include <utility>
 
-#include "common/check.h"
 #include "common/strings.h"
 #include "provenance/circuit.h"
 #include "provenance/compiler.h"
@@ -23,49 +22,23 @@ long double ShapleyWeight(size_t n, size_t k) {
   return 1.0L / (static_cast<long double>(n) * row[k]);
 }
 
-}  // namespace
-
-Result<ShapleyValues> ComputeShapleyExact(const Dnf& provenance,
-                                          ExecutionBudget& budget) {
-  ShapleyValues out;
-  const std::vector<FactId> lineage = provenance.Variables();
-  const size_t n = lineage.size();
-  if (n == 0) return out;
-
-  DnfCompiler compiler;
-  Result<std::unique_ptr<Circuit>> compiled =
-      compiler.Compile(provenance, budget);
-  if (!compiled.ok()) return compiled.status();
-  std::unique_ptr<Circuit> circuit = std::move(compiled).value();
-  const NodeId root = circuit->root();
-  CountingSession session(circuit.get());
-
-  for (FactId f : lineage) {
-    // Each per-fact pass re-traverses at most the whole circuit, which is
-    // within the node budget already charged — so a poll per fact bounds
-    // the counting phase at circuit-size granularity.
-    Status s = budget.Check(kSiteShapleyCount);
-    if (!s.ok()) return s;
-    // Counts of subsets E ⊆ lineage \ {f} of each size satisfying Φ with f
-    // forced true / false. The circuit support may be smaller than the
-    // lineage (absorbed-clause variables are null players); extension adds
-    // the missing variables as free.
-    CountVec c1 = ExtendCounts(session.Forced(root, f, true), n - 1);
-    CountVec c0 = ExtendCounts(session.Forced(root, f, false), n - 1);
-    long double value = 0.0L;
-    for (size_t k = 0; k < n; ++k) {
-      const long double pivotal = c1[k] - c0[k];
-      if (pivotal != 0.0L) value += ShapleyWeight(n, k) * pivotal;
-    }
-    out[f] = static_cast<double>(value);
-  }
-  return out;
+// Charges `units` against `budget` at `site`, or only polls it when `units`
+// is 0. No budget, or an unlimited one, never trips and is left untouched.
+Status Spend(ExecutionBudget* budget, uint64_t units, const char* site) {
+  if (budget == nullptr || budget->unlimited()) return Status::Ok();
+  return units == 0 ? budget->Check(site) : budget->Charge(units, site);
 }
 
-Result<ShapleyValues> ComputeBanzhafExact(const Dnf& provenance,
-                                          ExecutionBudget& budget) {
+// Compiles `provenance` and counts, for each fact f of its `lineage`, the
+// subsets E of lineage∖{f} of each size that satisfy Φ with f forced true
+// (c1) and false (c0); f's value is `fold(c1, c0)`. Exact Shapley and exact
+// Banzhaf differ only in that fold. Polls `budget` at `site` once per fact.
+template <typename Fold>
+Result<ShapleyValues> CountPerFact(const Dnf& provenance,
+                                   const std::vector<FactId>& lineage,
+                                   ExecutionBudget* budget, const char* site,
+                                   Fold fold) {
   ShapleyValues out;
-  const std::vector<FactId> lineage = provenance.Variables();
   const size_t n = lineage.size();
   if (n == 0) return out;
 
@@ -76,19 +49,84 @@ Result<ShapleyValues> ComputeBanzhafExact(const Dnf& provenance,
   const NodeId root = (*circuit)->root();
   CountingSession session(circuit->get());
 
-  // Banzhaf(f) = (#E with Φ[f=1] − #E with Φ[f=0]) / 2^(n-1): total model
-  // counts, uniformly weighted over coalition sizes.
-  const long double denom = std::pow(2.0L, static_cast<long double>(n - 1));
   for (FactId f : lineage) {
-    Status status = budget.Check(kSiteBanzhafCount);
+    // Each per-fact pass re-traverses at most the whole circuit, which is
+    // within the node budget already charged — so a poll per fact bounds
+    // the counting phase at circuit-size granularity.
+    Status status = Spend(budget, 0, site);
     if (!status.ok()) return status;
-    CountVec c1 = ExtendCounts(session.Forced(root, f, true), n - 1);
-    CountVec c0 = ExtendCounts(session.Forced(root, f, false), n - 1);
-    long double pivotal = 0.0L;
-    for (size_t k = 0; k < n; ++k) pivotal += c1[k] - c0[k];
-    out[f] = static_cast<double>(pivotal / denom);
+    // The circuit support may be smaller than the lineage (absorbed-clause
+    // variables are null players); extension adds the missing variables as
+    // free.
+    const CountVec c1 = ExtendCounts(session.Forced(root, f, true), n - 1);
+    const CountVec c0 = ExtendCounts(session.Forced(root, f, false), n - 1);
+    out[f] = fold(c1, c0);
   }
   return out;
+}
+
+// Draws `walks` random orders of `lineage` and, in each, adds facts one by
+// one until Φ holds, calling `on_pivot(f)` for the fact that made it hold.
+// Charges one unit per walk at `site`.
+template <typename OnPivot>
+Status PermutationWalks(const Dnf& provenance,
+                        const std::vector<FactId>& lineage, size_t walks,
+                        Rng& rng, ExecutionBudget* budget, const char* site,
+                        OnPivot on_pivot) {
+  std::vector<FactId> order = lineage;
+  std::vector<FactId> present;
+  present.reserve(lineage.size());
+  for (size_t s = 0; s < walks; ++s) {
+    Status status = Spend(budget, 1, site);
+    if (!status.ok()) return status;
+    rng.Shuffle(order);
+    present.clear();
+    // An empty clause satisfies Φ before any fact arrives: no pivot.
+    if (provenance.Evaluate(present)) continue;
+    for (FactId f : order) {
+      present.insert(std::upper_bound(present.begin(), present.end(), f), f);
+      // Monotone: once satisfied, later players are never pivotal in this
+      // permutation.
+      if (provenance.Evaluate(present)) {
+        on_pivot(f);
+        break;
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<ShapleyValues> ComputeShapleyExact(const Dnf& provenance,
+                                          ExecutionBudget* budget) {
+  const std::vector<FactId> lineage = provenance.Variables();
+  const size_t n = lineage.size();
+  const auto shapley = [n](const CountVec& c1, const CountVec& c0) {
+    long double value = 0.0L;
+    for (size_t k = 0; k < n; ++k) {
+      const long double pivotal = c1[k] - c0[k];
+      if (pivotal != 0.0L) value += ShapleyWeight(n, k) * pivotal;
+    }
+    return static_cast<double>(value);
+  };
+  return CountPerFact(provenance, lineage, budget, kSiteShapleyCount, shapley);
+}
+
+Result<ShapleyValues> ComputeBanzhafExact(const Dnf& provenance,
+                                          ExecutionBudget* budget) {
+  const std::vector<FactId> lineage = provenance.Variables();
+  const size_t n = lineage.size();
+  // Banzhaf(f) = (#E with Φ[f=1] − #E with Φ[f=0]) / 2^(n-1): total model
+  // counts, uniformly weighted over coalition sizes.
+  const long double denom =
+      std::pow(2.0L, static_cast<long double>(n) - 1.0L);
+  const auto banzhaf = [n, denom](const CountVec& c1, const CountVec& c0) {
+    long double pivotal = 0.0L;
+    for (size_t k = 0; k < n; ++k) pivotal += c1[k] - c0[k];
+    return static_cast<double>(pivotal / denom);
+  };
+  return CountPerFact(provenance, lineage, budget, kSiteBanzhafCount, banzhaf);
 }
 
 Result<ShapleyValues> ComputeShapleyBrute(const Dnf& provenance) {
@@ -132,44 +170,23 @@ Result<ShapleyValues> ComputeShapleyBrute(const Dnf& provenance) {
 
 Result<ShapleyValues> ComputeShapleyMonteCarlo(const Dnf& provenance,
                                                size_t num_samples, Rng& rng,
-                                               ExecutionBudget& budget) {
+                                               ExecutionBudget* budget) {
   ShapleyValues out;
-  std::vector<FactId> lineage = provenance.Variables();
-  const size_t n = lineage.size();
-  if (n == 0) return out;
+  const std::vector<FactId> lineage = provenance.Variables();
+  if (lineage.empty()) return out;
   for (FactId f : lineage) out[f] = 0.0;
-
-  const bool budgeted = !budget.unlimited();
-  std::vector<FactId> order = lineage;
-  std::vector<FactId> present;
-  present.reserve(n);
-  for (size_t s = 0; s < num_samples; ++s) {
-    if (budgeted) {
-      Status status = budget.Charge(1, kSiteShapleyMcSample);
-      if (!status.ok()) return status;
-    }
-    rng.Shuffle(order);
-    present.clear();
-    bool prev = provenance.Evaluate(present);  // false unless empty clause
-    for (FactId f : order) {
-      present.insert(std::upper_bound(present.begin(), present.end(), f), f);
-      const bool now = prev || provenance.Evaluate(present);
-      if (now && !prev) out[f] += 1.0;
-      prev = now;
-      // Monotone: once satisfied, later players are never pivotal in this
-      // permutation.
-      if (prev) break;
-    }
-  }
+  Status status = PermutationWalks(provenance, lineage, num_samples, rng,
+                                   budget, kSiteShapleyMcSample,
+                                   [&out](FactId f) { out[f] += 1.0; });
+  if (!status.ok()) return status;
   for (auto& [f, v] : out) v /= static_cast<double>(num_samples);
   return out;
 }
 
-Result<ShapleyValues> ComputeShapleyStratified(const Dnf& provenance,
-                                               const std::vector<uint32_t>& strata,
-                                               size_t num_samples, Rng& rng,
-                                               ExecutionBudget& budget,
-                                               const StratifiedMcOptions& options) {
+Result<ShapleyValues> ComputeShapleyStratified(
+    const Dnf& provenance, const std::vector<uint32_t>& strata,
+    size_t num_samples, Rng& rng, const StratifiedMcOptions& options,
+    ExecutionBudget* budget) {
   ShapleyValues out;
   const std::vector<FactId> lineage = provenance.Variables();
   const size_t n = lineage.size();
@@ -184,8 +201,6 @@ Result<ShapleyValues> ComputeShapleyStratified(const Dnf& provenance,
         "stratified Shapley requires num_samples >= 1");
   }
   for (FactId f : lineage) out[f] = 0.0;
-
-  const bool budgeted = !budget.unlimited();
 
   // Group lineage positions by stratum, iterated in ascending stratum id so
   // the allocation (and therefore every subsequent rng draw) is
@@ -202,31 +217,14 @@ Result<ShapleyValues> ComputeShapleyStratified(const Dnf& provenance,
   std::vector<double> pivot_rate;
   if (pilot > 0) {
     std::vector<size_t> pivots(n, 0);
-    std::vector<FactId> order = lineage;
-    std::vector<FactId> present;
-    present.reserve(n);
-    for (size_t s = 0; s < pilot; ++s) {
-      if (budgeted) {
-        Status status = budget.Charge(1, kSiteShapleyStratPilot);
-        if (!status.ok()) return status;
-      }
-      rng.Shuffle(order);
-      present.clear();
-      bool prev = provenance.Evaluate(present);
-      for (FactId f : order) {
-        present.insert(std::upper_bound(present.begin(), present.end(), f),
-                       f);
-        const bool now = prev || provenance.Evaluate(present);
-        if (now && !prev) {
-          const size_t idx = static_cast<size_t>(
+    Status status = PermutationWalks(
+        provenance, lineage, pilot, rng, budget, kSiteShapleyStratPilot,
+        [&](FactId f) {
+          ++pivots[static_cast<size_t>(
               std::lower_bound(lineage.begin(), lineage.end(), f) -
-              lineage.begin());
-          ++pivots[idx];
-        }
-        prev = now;
-        if (prev) break;
-      }
-    }
+              lineage.begin())];
+        });
+    if (!status.ok()) return status;
     // Smoothed pivot-rate estimate: strata that never pivoted in the pilot
     // keep a small floor so they are never starved to the 1-sample minimum
     // on pilot noise alone.
@@ -319,10 +317,8 @@ Result<ShapleyValues> ComputeShapleyStratified(const Dnf& provenance,
       const size_t mb = per_bin + (b < extra ? 1 : 0);
       size_t hits = 0;
       for (size_t t = 0; t < mb; ++t) {
-        if (budgeted) {
-          Status status = budget.Charge(1, kSiteShapleyStratSample);
-          if (!status.ok()) return status;
-        }
+        Status status = Spend(budget, 1, kSiteShapleyStratSample);
+        if (!status.ok()) return status;
         const size_t k =
             lo + (width > 1 ? rng.NextBounded(width) : 0);
         // Uniform k-subset of lineage \ {f} by partial Fisher-Yates; the
@@ -354,7 +350,7 @@ Result<ShapleyValues> ComputeShapleyStratified(const Dnf& provenance,
 }
 
 Result<ShapleyValues> ComputeCnfProxy(const Dnf& provenance,
-                                      ExecutionBudget& budget) {
+                                      ExecutionBudget* budget) {
   ShapleyValues out;
   const std::vector<FactId> lineage = provenance.Variables();
   if (lineage.empty()) return out;
@@ -362,7 +358,6 @@ Result<ShapleyValues> ComputeCnfProxy(const Dnf& provenance,
 
   const CnfFormula cnf = TseytinFromDnf(provenance);
   const size_t n = cnf.num_variables;
-  const bool budgeted = !budget.unlimited();
 
   // Shapley value, in the single-clause OR-game over universe size n, of a
   // positive/negative literal. For a clause with p positive and q negative
@@ -374,10 +369,8 @@ Result<ShapleyValues> ComputeCnfProxy(const Dnf& provenance,
   //     vars, none of the p positive vars; contribution is negative.
   std::vector<double> scores(n, 0.0);
   for (const auto& clause : cnf.clauses) {
-    if (budgeted) {
-      Status status = budget.Check(kSiteCnfProxy);
-      if (!status.ok()) return status;
-    }
+    Status status = Spend(budget, 0, kSiteCnfProxy);
+    if (!status.ok()) return status;
     size_t p = 0;
     size_t q = 0;
     for (const auto& lit : clause) {
@@ -413,49 +406,6 @@ Result<ShapleyValues> ComputeCnfProxy(const Dnf& provenance,
     out[cnf.original_facts[i]] = scores[i];
   }
   return out;
-}
-
-// Unlimited wrappers (DESIGN.md §9.4): the budgeted form with an
-// unlimited budget, which cannot trip.
-ShapleyValues ComputeShapleyExactUnlimited(const Dnf& provenance) {
-  ExecutionBudget unlimited = ExecutionBudget::Unlimited();
-  Result<ShapleyValues> result = ComputeShapleyExact(provenance, unlimited);
-  LSHAP_CHECK(result.ok());
-  return std::move(result).value();
-}
-
-ShapleyValues ComputeShapleyMonteCarloUnlimited(const Dnf& provenance,
-                                                size_t num_samples,
-                                                Rng& rng) {
-  ExecutionBudget unlimited = ExecutionBudget::Unlimited();
-  Result<ShapleyValues> result =
-      ComputeShapleyMonteCarlo(provenance, num_samples, rng, unlimited);
-  LSHAP_CHECK(result.ok());
-  return std::move(result).value();
-}
-
-ShapleyValues ComputeShapleyStratifiedUnlimited(
-    const Dnf& provenance, const std::vector<uint32_t>& strata,
-    size_t num_samples, Rng& rng, const StratifiedMcOptions& options) {
-  ExecutionBudget unlimited = ExecutionBudget::Unlimited();
-  Result<ShapleyValues> result = ComputeShapleyStratified(
-      provenance, strata, num_samples, rng, unlimited, options);
-  LSHAP_CHECK(result.ok());
-  return std::move(result).value();
-}
-
-ShapleyValues ComputeBanzhafExactUnlimited(const Dnf& provenance) {
-  ExecutionBudget unlimited = ExecutionBudget::Unlimited();
-  Result<ShapleyValues> result = ComputeBanzhafExact(provenance, unlimited);
-  LSHAP_CHECK(result.ok());
-  return std::move(result).value();
-}
-
-ShapleyValues ComputeCnfProxyUnlimited(const Dnf& provenance) {
-  ExecutionBudget unlimited = ExecutionBudget::Unlimited();
-  Result<ShapleyValues> result = ComputeCnfProxy(provenance, unlimited);
-  LSHAP_CHECK(result.ok());
-  return std::move(result).value();
 }
 
 std::vector<FactId> RankByScore(const ShapleyValues& scores) {

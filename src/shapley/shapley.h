@@ -27,14 +27,14 @@ inline constexpr char kSiteShapleyStratSample[] = "shapley.strat_sample";
 inline constexpr char kSiteCnfProxy[] = "shapley.cnf_proxy";
 inline constexpr char kSiteBanzhafCount[] = "banzhaf.count";
 
-// Every Compute* entry point below documents its budget-charging policy in
-// the same format: a trailing "Budget:" paragraph stating what is polled
-// (deadline / cancellation / fault checks, no units consumed) and what is
-// charged (work units consumed against max_work_units) per unit of work.
-// All budgeted variants follow the fallible-call convention of DESIGN.md
-// §9.4: on a trip the error Status is returned and NO partial values leak
-// out; the *Unlimited wrapper is the same computation with an unlimited
-// budget and cannot fail.
+// Every Compute* entry point below is one call with an optional trailing
+// budget (DESIGN.md §9.4). With no budget the call runs to completion;
+// callers that bounded their input write `.value()`. With a budget, a trip
+// returns the error Status and NO partial values leak out. Each entry point
+// documents its charging policy in a trailing "Budget:" paragraph: what is
+// polled (deadline / cancellation / fault checks, no units consumed) and
+// what is charged (work units consumed against max_work_units) per unit of
+// work.
 
 // Exact Shapley values of every variable of the provenance DNF, computed by
 // compiling the DNF into a decision-DNNF circuit and counting satisfying
@@ -48,8 +48,12 @@ inline constexpr char kSiteBanzhafCount[] = "banzhaf.count";
 // traversal touches at most the node count already charged, so the poll
 // bounds counting at circuit-size granularity).
 Result<ShapleyValues> ComputeShapleyExact(const Dnf& provenance,
-                                          ExecutionBudget& budget);
-ShapleyValues ComputeShapleyExactUnlimited(const Dnf& provenance);
+                                          ExecutionBudget* budget = nullptr);
+// ComputeShapleyExact(provenance).value(), under the name the benchmark
+// harness calls.
+inline ShapleyValues ComputeShapleyExactUnlimited(const Dnf& provenance) {
+  return ComputeShapleyExact(provenance).value();
+}
 
 // Exact Shapley values by brute-force subset enumeration, used as an
 // independent oracle in tests. Exponential in the lineage size.
@@ -72,11 +76,9 @@ Result<ShapleyValues> ComputeShapleyBrute(const Dnf& provenance);
 // usually stops far sooner). On a trip, the samples drawn so far are
 // discarded and the error is returned (a truncated average would be biased
 // toward early-permutation pivots).
-Result<ShapleyValues> ComputeShapleyMonteCarlo(const Dnf& provenance,
-                                               size_t num_samples, Rng& rng,
-                                               ExecutionBudget& budget);
-ShapleyValues ComputeShapleyMonteCarloUnlimited(const Dnf& provenance,
-                                                size_t num_samples, Rng& rng);
+Result<ShapleyValues> ComputeShapleyMonteCarlo(
+    const Dnf& provenance, size_t num_samples, Rng& rng,
+    ExecutionBudget* budget = nullptr);
 
 // Tuning knobs for ComputeShapleyStratified.
 struct StratifiedMcOptions {
@@ -116,11 +118,8 @@ struct StratifiedMcOptions {
 // so far is discarded and the error is returned.
 Result<ShapleyValues> ComputeShapleyStratified(
     const Dnf& provenance, const std::vector<uint32_t>& strata,
-    size_t num_samples, Rng& rng, ExecutionBudget& budget,
-    const StratifiedMcOptions& options = {});
-ShapleyValues ComputeShapleyStratifiedUnlimited(
-    const Dnf& provenance, const std::vector<uint32_t>& strata,
-    size_t num_samples, Rng& rng, const StratifiedMcOptions& options = {});
+    size_t num_samples, Rng& rng, const StratifiedMcOptions& options = {},
+    ExecutionBudget* budget = nullptr);
 
 // Exact Banzhaf values over the same circuits: the Banzhaf index replaces
 // the Shapley coalition weights with a uniform 1/2^(n-1), i.e. the
@@ -133,8 +132,7 @@ ShapleyValues ComputeShapleyStratifiedUnlimited(
 // circuit node (polling at kSiteCompilerExpand), then one poll per counted
 // fact at kSiteBanzhafCount.
 Result<ShapleyValues> ComputeBanzhafExact(const Dnf& provenance,
-                                          ExecutionBudget& budget);
-ShapleyValues ComputeBanzhafExactUnlimited(const Dnf& provenance);
+                                          ExecutionBudget* budget = nullptr);
 
 // The inexact "CNF Proxy" comparator of Deutch et al.: apply the Tseytin
 // transformation to the provenance DNF and score each original fact by its
@@ -149,8 +147,7 @@ ShapleyValues ComputeBanzhafExactUnlimited(const Dnf& provenance);
 // a cancelled token trips it — it exists so the corpus builder's last
 // computing rung is governed like the others.
 Result<ShapleyValues> ComputeCnfProxy(const Dnf& provenance,
-                                      ExecutionBudget& budget);
-ShapleyValues ComputeCnfProxyUnlimited(const Dnf& provenance);
+                                      ExecutionBudget* budget = nullptr);
 
 // Ranks fact ids by descending score; ties broken by ascending fact id so
 // rankings are deterministic.

@@ -74,7 +74,7 @@ TEST(CountingSessionTest, SharedUnforcedCountsMatchFreshTraversal) {
   // from-scratch per-call counts for every variable.
   const Dnf d(std::vector<Clause>{{1, 2}, {2, 3}, {4, 5}, {6}});
   DnfCompiler compiler;
-  auto circuit = compiler.CompileUnlimited(d);
+  auto circuit = compiler.Compile(d).value();
   CountingSession session(circuit.get());
   for (FactId f : d.Variables()) {
     for (bool value : {false, true}) {
@@ -105,11 +105,11 @@ TEST(CompilerTest, ComponentDecompositionProducesSmallCircuits) {
   const Dnf d(clauses);
 
   DnfCompiler with;
-  auto c1 = with.CompileUnlimited(d);
+  auto c1 = with.Compile(d).value();
   CompilerOptions off;
   off.component_decomposition = false;
   DnfCompiler without(off);
-  auto c2 = without.CompileUnlimited(d);
+  auto c2 = without.Compile(d).value();
   EXPECT_LT(with.last_num_nodes(), 300u);
   EXPECT_GT(without.last_num_nodes(), 5 * with.last_num_nodes());
 
@@ -128,7 +128,7 @@ TEST(CompilerTest, CacheHitsOnRepeatedSubformulas) {
   // Two identical independent components share the cached compilation.
   const Dnf d(std::vector<Clause>{{1, 2}, {1, 3}, {10, 20}, {10, 30}});
   DnfCompiler compiler;
-  auto circuit = compiler.CompileUnlimited(d);
+  auto circuit = compiler.Compile(d).value();
   (void)circuit;
   EXPECT_GE(compiler.last_cache_hits(), 0u);  // smoke: stats exposed
 }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <set>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -127,6 +128,32 @@ TEST(RngTest, ShufflePreservesElements) {
   rng.Shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, orig);
+}
+
+// Known answers of the shared hash primitives: every stored checksum and
+// pinned fingerprint depends on these exact bits.
+TEST(HashTest, FnvKnownAnswers) {
+  EXPECT_EQ(FnvChecksum("", 0), 0xcbf29ce484222325ull);
+  EXPECT_EQ(FnvChecksum("a", 1), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(FnvChecksum("foobar", 6), 0x85944171f73967e8ull);
+}
+
+TEST(HashTest, FnvUpdateIsIncremental) {
+  uint64_t h = kFnvOffset;
+  h = FnvUpdate(h, "foo", 3);
+  h = FnvUpdate(h, "", 0);
+  h = FnvUpdate(h, "bar", 3);
+  EXPECT_EQ(h, FnvChecksum("foobar", 6));
+}
+
+TEST(HashTest, SplitMixKnownAnswers) {
+  EXPECT_EQ(MixWord(0), 0xe220a8397b1dcdafull);
+  // Rng seeds its four lanes from successive SplitMix64 outputs, so its
+  // first draws are fixed by the seed.
+  Rng rng(42);
+  EXPECT_EQ(rng.Next(), 0x15780b2e0c2ec716ull);
+  EXPECT_EQ(rng.Next(), 0x6104d9866d113a7eull);
+  EXPECT_EQ(rng.Next(), 0xae17533239e499a1ull);
 }
 
 TEST(StringsTest, Join) {

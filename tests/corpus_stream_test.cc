@@ -373,6 +373,56 @@ TEST_F(CorpusStreamTest, EmptyDevSplitKeepsTheLastEpoch) {
   EXPECT_NE(train(0, 1), train(0, 2));
 }
 
+// The pin above keeps the first fine-tune epoch (its dev split ranks
+// perfectly from the start). With no dev split the last epoch is kept, so
+// this pin covers the second epoch's update, learning-rate decay included.
+TEST_F(CorpusStreamTest, LastFinetuneEpochIsIdenticalAtAnyThreadCount) {
+  const SimilarityMatrices sims =
+      ComputeSimilarityMatrices(corpus_, 16, pool_);
+  Corpus no_dev = corpus_;
+  no_dev.dev_idx.clear();
+  TrainConfig cfg;
+  cfg.model_size = TrainConfig::ModelSize::kSmallAblation;
+  cfg.pretrain_epochs = 1;
+  cfg.pretrain_pairs_per_epoch = 40;
+  cfg.finetune_epochs = 2;
+  cfg.finetune_samples_per_epoch = 60;
+  cfg.batch_size = 12;
+  cfg.seed = 5;
+  for (size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    ThreadPool pool(threads);
+    InMemoryCorpusStream stream(no_dev);
+    auto result = TrainLearnShapleyStream(stream, &sims, cfg, pool);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(WeightsFingerprint(*result->ranker), 0xb95ba08b7e8945aau);
+  }
+}
+
+// A stage that runs no epoch has nothing to select: it keeps its initial
+// weights, and its dev metric reads 0 like a stage with no dev split.
+TEST_F(CorpusStreamTest, ZeroEpochStagesReadZero) {
+  const SimilarityMatrices sims =
+      ComputeSimilarityMatrices(corpus_, 16, pool_);
+  TrainConfig cfg;
+  cfg.model_size = TrainConfig::ModelSize::kSmallAblation;
+  cfg.pretrain_epochs = 0;
+  cfg.finetune_epochs = 0;
+  cfg.seed = 5;
+  InMemoryCorpusStream stream(corpus_);
+  auto result = TrainLearnShapleyStream(stream, &sims, cfg, pool_);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->pretrain_dev_mse, 0.0);
+  EXPECT_EQ(result->best_dev_ndcg10, 0.0);
+
+  // The weights are the seeded initialisation: pre-training was skipped.
+  cfg.do_pretrain = false;
+  auto untrained = TrainLearnShapleyStream(stream, &sims, cfg, pool_);
+  ASSERT_TRUE(untrained.ok()) << untrained.status().ToString();
+  EXPECT_EQ(WeightsFingerprint(*result->ranker),
+            WeightsFingerprint(*untrained->ranker));
+}
+
 // Each epoch's dev pass runs under its own span, a child of its stage's, and
 // recording metrics moves no trained weight.
 TEST_F(CorpusStreamTest, TrainingMetricsSpanTheDevPassesAndMoveNoWeight) {

@@ -81,7 +81,7 @@ TEST_F(EvalTest, AliceShapleyMatchesExample22) {
   auto result = Evaluate(*ex_.db, ex_.q_inf);
   ASSERT_TRUE(result.ok());
   const size_t alice = result->index.at({Value("Alice")});
-  const auto v = ComputeShapleyExactUnlimited(result->ProvenanceOf(alice));
+  const auto v = ComputeShapleyExact(result->ProvenanceOf(alice)).value();
   EXPECT_NEAR(v.at(ex_.c2), 19.0 / 252.0, 1e-12);
   EXPECT_NEAR(v.at(ex_.c1), 10.0 / 63.0, 1e-12);
 }

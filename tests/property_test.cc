@@ -37,7 +37,7 @@ TEST_P(ShapleyAxiomsTest, ExactMatchesBruteForce) {
   Rng rng(GetParam());
   const size_t num_vars = 2 + rng.NextBounded(10);
   const Dnf d = RandomDnf(rng, num_vars, 1 + rng.NextBounded(5), 4);
-  const auto exact = ComputeShapleyExactUnlimited(d);
+  const auto exact = ComputeShapleyExact(d).value();
   const auto brute = ComputeShapleyBrute(d).value();
   ASSERT_EQ(exact.size(), brute.size());
   for (const auto& [f, v] : brute) {
@@ -49,7 +49,7 @@ TEST_P(ShapleyAxiomsTest, EfficiencyValuesAndBounds) {
   Rng rng(GetParam() * 31 + 7);
   const Dnf d = RandomDnf(rng, 3 + rng.NextBounded(12),
                           1 + rng.NextBounded(6), 4);
-  const auto v = ComputeShapleyExactUnlimited(d);
+  const auto v = ComputeShapleyExact(d).value();
   double sum = 0.0;
   for (const auto& [f, val] : v) {
     EXPECT_GE(val, -1e-12);
@@ -66,9 +66,9 @@ TEST_P(ShapleyAxiomsTest, MonotoneUnderClauseAddition) {
   // the efficiency total stays 1.
   Rng rng(GetParam() * 131 + 3);
   Dnf d = RandomDnf(rng, 8, 3, 3);
-  const auto before = ComputeShapleyExactUnlimited(d);
+  const auto before = ComputeShapleyExact(d).value();
   d.AddClause({100, 101});
-  const auto after = ComputeShapleyExactUnlimited(d);
+  const auto after = ComputeShapleyExact(d).value();
   double sum = 0.0;
   for (const auto& [f, val] : after) sum += val;
   EXPECT_NEAR(sum, 1.0, 1e-9);
@@ -91,8 +91,8 @@ TEST_P(ShapleyAxiomsTest, CnfProxyAgreesOnTopFactOfReadOnce) {
     }
   }
   const Dnf d(clauses);
-  const auto exact = ComputeShapleyExactUnlimited(d);
-  const auto proxy = ComputeCnfProxyUnlimited(d);
+  const auto exact = ComputeShapleyExact(d).value();
+  const auto proxy = ComputeCnfProxy(d).value();
   EXPECT_EQ(RankByScore(exact)[0], RankByScore(proxy)[0]) << d.ToString();
 }
 

@@ -87,7 +87,7 @@ std::vector<long double> BruteCountsBySize(const Dnf& d) {
 
 void ExpectCountsMatch(const Dnf& d) {
   DnfCompiler compiler;
-  auto circuit = compiler.CompileUnlimited(d);
+  auto circuit = compiler.Compile(d).value();
   const auto vars = d.Variables();
   CountVec got = ExtendCounts(circuit->CountsBySize(circuit->root()),
                               vars.size());
@@ -138,7 +138,7 @@ TEST(CompilerTest, ForcedVariableCounts) {
   // Counts with x forced must equal brute-force counts of the restriction.
   const Dnf d = MakeDnf({{1, 2}, {2, 3}, {4}});
   DnfCompiler compiler;
-  auto circuit = compiler.CompileUnlimited(d);
+  auto circuit = compiler.Compile(d).value();
   const auto vars = d.Variables();  // {1,2,3,4}
   for (FactId forced : vars) {
     for (bool value : {false, true}) {

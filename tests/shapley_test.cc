@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "provenance/bool_expr.h"
@@ -62,7 +63,7 @@ TEST(ShapleyExactTest, PaperExample22) {
   const FactId a1 = 0, m1 = 1, c1 = 2, r1 = 3, m2 = 4, r2 = 5, m3 = 6,
                c2 = 7, r3 = 8;
   const Dnf d(std::vector<Clause>{{a1, m1, c1, r1}, {a1, m2, c1, r2}, {a1, m3, c2, r3}});
-  const auto v = ComputeShapleyExactUnlimited(d);
+  const auto v = ComputeShapleyExact(d).value();
   ASSERT_EQ(v.size(), 9u);
   EXPECT_NEAR(v.at(c2), 19.0 / 252.0, 1e-12);
   EXPECT_NEAR(v.at(c1), 10.0 / 63.0, 1e-12);
@@ -82,7 +83,7 @@ TEST(ShapleyExactTest, EfficiencyAxiom) {
   Rng rng(52);
   for (int trial = 0; trial < 40; ++trial) {
     const Dnf d = RandomDnf(rng, 2 + rng.NextBounded(8), 1 + rng.NextBounded(5), 3);
-    const auto v = ComputeShapleyExactUnlimited(d);
+    const auto v = ComputeShapleyExact(d).value();
     double sum = 0.0;
     for (const auto& [f, val] : v) sum += val;
     EXPECT_NEAR(sum, 1.0, 1e-9) << d.ToString();
@@ -92,7 +93,7 @@ TEST(ShapleyExactTest, EfficiencyAxiom) {
 // Symmetry: variables playing interchangeable roles get equal values.
 TEST(ShapleyExactTest, SymmetryAxiom) {
   const Dnf d(std::vector<Clause>{{1, 2}, {1, 3}});
-  const auto v = ComputeShapleyExactUnlimited(d);
+  const auto v = ComputeShapleyExact(d).value();
   EXPECT_NEAR(v.at(2), v.at(3), 1e-12);
   EXPECT_GT(v.at(1), v.at(2));
 }
@@ -100,7 +101,7 @@ TEST(ShapleyExactTest, SymmetryAxiom) {
 // Null players: a variable appearing only in absorbed clauses has value 0.
 TEST(ShapleyExactTest, NullPlayerAxiom) {
   const Dnf d(std::vector<Clause>{{1}, {1, 9}});
-  const auto v = ComputeShapleyExactUnlimited(d);
+  const auto v = ComputeShapleyExact(d).value();
   ASSERT_EQ(v.size(), 2u);
   EXPECT_DOUBLE_EQ(v.at(1), 1.0);
   EXPECT_DOUBLE_EQ(v.at(9), 0.0);
@@ -113,7 +114,7 @@ TEST(ShapleyExactTest, MatchesBruteForceOnRandomDnfs) {
   for (int trial = 0; trial < 80; ++trial) {
     const size_t num_vars = 2 + rng.NextBounded(11);  // ≤ 12 vars
     const Dnf d = RandomDnf(rng, num_vars, 1 + rng.NextBounded(6), 4);
-    const auto exact = ComputeShapleyExactUnlimited(d);
+    const auto exact = ComputeShapleyExact(d).value();
     const auto brute = ComputeShapleyBrute(d).value();
     ASSERT_EQ(exact.size(), brute.size()) << d.ToString();
     for (const auto& [f, val] : brute) {
@@ -132,7 +133,7 @@ TEST(ShapleyExactTest, HandlesLargerLineages) {
     for (FactId i = 0; i < 10; ++i) c.push_back(base + i);
     clauses.push_back(c);
   }
-  const auto v = ComputeShapleyExactUnlimited(Dnf(std::move(clauses)));
+  const auto v = ComputeShapleyExact(Dnf(std::move(clauses))).value();
   ASSERT_EQ(v.size(), 30u);
   double sum = 0.0;
   for (const auto& [f, val] : v) {
@@ -147,9 +148,9 @@ TEST(ShapleyExactTest, HandlesLargerLineages) {
 TEST(ShapleyMonteCarloTest, ConvergesToExact) {
   Rng data_rng(31);
   const Dnf d = RandomDnf(data_rng, 8, 4, 3);
-  const auto exact = ComputeShapleyExactUnlimited(d);
+  const auto exact = ComputeShapleyExact(d).value();
   Rng mc_rng(32);
-  const auto mc = ComputeShapleyMonteCarloUnlimited(d, 20000, mc_rng);
+  const auto mc = ComputeShapleyMonteCarlo(d, 20000, mc_rng).value();
   for (const auto& [f, val] : exact) {
     EXPECT_NEAR(mc.at(f), val, 0.02) << "var " << f;
   }
@@ -175,9 +176,9 @@ TEST(StratifiedMcTest, DeterministicUnderFixedSeed) {
   // 256 samples with the default 64-permutation pilot: both the pilot and
   // the main pass run, so determinism covers the whole allocation path.
   Rng a(7);
-  const auto va = ComputeShapleyStratifiedUnlimited(d, strata, 256, a);
+  const auto va = ComputeShapleyStratified(d, strata, 256, a).value();
   Rng b(7);
-  const auto vb = ComputeShapleyStratifiedUnlimited(d, strata, 256, b);
+  const auto vb = ComputeShapleyStratified(d, strata, 256, b).value();
   ASSERT_EQ(va.size(), vb.size());
   for (const auto& [f, val] : va) {
     EXPECT_DOUBLE_EQ(vb.at(f), val) << "var " << f;
@@ -187,10 +188,10 @@ TEST(StratifiedMcTest, DeterministicUnderFixedSeed) {
 TEST(StratifiedMcTest, ConvergesToExact) {
   Rng data_rng(31);
   const Dnf d = RandomDnf(data_rng, 8, 4, 3);
-  const auto exact = ComputeShapleyExactUnlimited(d);
+  const auto exact = ComputeShapleyExact(d).value();
   Rng rng(33);
   const auto strat =
-      ComputeShapleyStratifiedUnlimited(d, ParityStrata(d), 20000, rng);
+      ComputeShapleyStratified(d, ParityStrata(d), 20000, rng).value();
   double sum = 0.0;
   for (const auto& [f, val] : exact) {
     EXPECT_NEAR(strat.at(f), val, 0.02) << "var " << f;
@@ -209,7 +210,7 @@ TEST(StratifiedMcTest, BudgetExhaustionLeaksNoPartialState) {
   // main pass: the call must fail sticky with no values returned.
   ExecutionBudget budget({0.0, 10});
   Rng rng(7);
-  const auto r = ComputeShapleyStratified(d, strata, 256, rng, budget);
+  const auto r = ComputeShapleyStratified(d, strata, 256, rng, {}, &budget);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(budget.tripped());
@@ -224,7 +225,7 @@ TEST(StratifiedMcTest, FaultInMainPassTripsCleanly) {
   fault.FailAt(kSiteShapleyStratSample, 3);
   ExecutionBudget budget({0.0, 0}, nullptr, &fault);
   Rng rng(7);
-  const auto r = ComputeShapleyStratified(d, strata, 256, rng, budget);
+  const auto r = ComputeShapleyStratified(d, strata, 256, rng, {}, &budget);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(budget.trip_site(), kSiteShapleyStratSample);
 }
@@ -239,10 +240,10 @@ TEST(StratifiedMcTest, MatchesProportionalWhenPilotSkipped) {
   StratifiedMcOptions no_pilot;
   no_pilot.pilot_permutations = 0;
   Rng a(9);
-  const auto auto_skipped = ComputeShapleyStratifiedUnlimited(d, strata, 100, a);
+  const auto auto_skipped = ComputeShapleyStratified(d, strata, 100, a).value();
   Rng b(9);
   const auto explicit_off =
-      ComputeShapleyStratifiedUnlimited(d, strata, 100, b, no_pilot);
+      ComputeShapleyStratified(d, strata, 100, b, no_pilot).value();
   ASSERT_EQ(auto_skipped.size(), explicit_off.size());
   for (const auto& [f, val] : auto_skipped) {
     EXPECT_DOUBLE_EQ(explicit_off.at(f), val) << "var " << f;
@@ -256,12 +257,12 @@ TEST(StratifiedMcTest, RejectsMalformedArguments) {
   Rng rng(1);
   // Strata not aligned with the variable list.
   std::vector<uint32_t> short_strata(d.Variables().size() - 1, 0);
-  auto r = ComputeShapleyStratified(d, short_strata, 64, rng, budget);
+  auto r = ComputeShapleyStratified(d, short_strata, 64, rng, {}, &budget);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   // Zero samples.
   const std::vector<uint32_t> strata(d.Variables().size(), 0);
-  r = ComputeShapleyStratified(d, strata, 0, rng, budget);
+  r = ComputeShapleyStratified(d, strata, 0, rng, {}, &budget);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
@@ -272,11 +273,58 @@ TEST(CnfProxyTest, TopFactMatchesExactOnSimpleProvenance) {
   const FactId a1 = 0, m1 = 1, c1 = 2, r1 = 3, m2 = 4, r2 = 5, m3 = 6,
                c2 = 7, r3 = 8;
   const Dnf d(std::vector<Clause>{{a1, m1, c1, r1}, {a1, m2, c1, r2}, {a1, m3, c2, r3}});
-  const auto proxy = ComputeCnfProxyUnlimited(d);
+  const auto proxy = ComputeCnfProxy(d).value();
   ASSERT_EQ(proxy.size(), 9u);
   EXPECT_GT(proxy.at(c1), proxy.at(c2));
   const auto ranking = RankByScore(proxy);
   EXPECT_EQ(ranking[0], a1);
+}
+
+// Every estimator's output bits, pinned: an FNV-1a over the value bits of
+// exact Shapley, exact Banzhaf, plain MC, stratified MC (pilot included) and
+// the CNF proxy on seeded random DNFs of up to 60 variables, each estimator
+// called once without a budget and once under a budget that never trips.
+// A change that moves any estimator's arithmetic or RNG order fails here.
+TEST(ShapleyGoldenTest, EstimatorsKeepTheirBits) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  const auto fold = [&hash](const ShapleyValues& v, const Dnf& d) {
+    const std::vector<FactId> lineage = d.Variables();
+    EXPECT_EQ(v.size(), lineage.size()) << d.ToString();
+    for (FactId f : lineage) {
+      const double x = v.count(f) > 0 ? v.at(f) : -1.0;
+      uint64_t bits;
+      std::memcpy(&bits, &x, sizeof(bits));
+      for (int b = 0; b < 8; ++b) {
+        hash ^= (bits >> (8 * b)) & 0xffu;
+        hash *= 0x100000001b3ull;
+      }
+    }
+  };
+  StratifiedMcOptions strat_options;
+  strat_options.pilot_permutations = 8;
+  Rng data_rng(2027);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t num_vars = 2 + data_rng.NextBounded(59);  // ≤ 60 vars
+    const Dnf d = RandomDnf(data_rng, num_vars, 1 + data_rng.NextBounded(16),
+                            6);
+    const std::vector<uint32_t> strata = ParityStrata(d);
+    const uint64_t seed = 1000 + static_cast<uint64_t>(trial);
+    for (bool budgeted : {false, true}) {
+      ExecutionBudget b({3600.0, uint64_t{1} << 40});
+      Rng mc_rng(seed);
+      Rng strat_rng(seed);
+      ExecutionBudget* budget = budgeted ? &b : nullptr;
+      fold(ComputeShapleyExact(d, budget).value(), d);
+      fold(ComputeBanzhafExact(d, budget).value(), d);
+      fold(ComputeShapleyMonteCarlo(d, 64, mc_rng, budget).value(), d);
+      fold(ComputeShapleyStratified(d, strata, 16, strat_rng, strat_options,
+                                    budget)
+               .value(),
+           d);
+      fold(ComputeCnfProxy(d, budget).value(), d);
+    }
+  }
+  EXPECT_EQ(hash, 0x8f5f353609663455ull);
 }
 
 TEST(RankByScoreTest, DescendingWithIdTiebreak) {

@@ -112,7 +112,8 @@ int Inspect(const std::string& path, size_t sample_records) {
                 per_record, static_cast<unsigned long long>(f.checksum));
     std::printf("    rungs: exact %zu, strat %zu, mc %zu, cnf %zu, "
                 "skipped %zu\n",
-                f.exact, f.stratified, f.monte_carlo, f.cnf_proxy, f.skipped);
+                f.rungs.exact, f.rungs.stratified, f.rungs.monte_carlo,
+                f.rungs.cnf_proxy, f.rungs.skipped);
     for (size_t i = 0; i < reader->num_records() && i < sample_records; ++i) {
       auto rec = reader->ReadRawRecord(i, static_cast<size_t>(m.db_facts));
       if (!rec.ok()) {
